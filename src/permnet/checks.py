@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import permutations as all_words
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from . import diagram, forest, network, perm, poset
 
@@ -282,7 +282,21 @@ def check_el(eps: network.Signature) -> list[CheckResult]:
     ]
 
 
-SuiteFn = Callable[..., list[CheckResult]]
+# Largest degree each degree suite runs, and largest signature length each
+# signature suite runs; ``all`` runs every suite, so its limits are the
+# smallest of these.
+MAX_N = {"bijection": 7, "polyomino": 6, "rothe": 6}
+MAX_LENGTH = {"forest": 6, "lattice": 6, "whitney": 8, "mobius": 6, "el": 6}
+
+
+class BoundError(ValueError):
+    """A requested degree or signature length the suite does not run."""
+
+
+def _check_limit(suite: str, flag: str, value: Optional[int], low: int, table) -> None:
+    high = min((m for s, m in table.items() if suite in (s, "all")), default=None)
+    if high is not None and value is not None and not low <= value <= high:
+        raise BoundError(f"{flag} {value} is outside {low}..{high} for suite {suite}")
 
 
 def run_suite(
@@ -291,38 +305,31 @@ def run_suite(
     eps: Optional[Sequence[int]] = None,
     bound: Optional[int] = None,
 ) -> list[CheckResult]:
-    """Run one named suite; ``all`` runs everything at desk-scale bounds."""
-    results: list[CheckResult] = []
-    n = n or bound or 5
-    sigs: list[network.Signature]
-    if eps is not None:
-        sigs = [network.strip_neutral(network.check_signature(eps))]
-    else:
-        sigs = signatures_up_to(min(bound or 5, 6))
-    if suite in ("bijection", "all"):
-        results += check_bijection(min(n, 7))
-    if suite in ("polyomino", "all"):
-        results += check_polyomino(min(n, 6))
-    if suite in ("rothe", "all"):
-        results += check_rothe(min(n, 6))
-    if suite in ("forest", "all"):
-        for e in sigs:
-            results += check_forest(e)
-    if suite in ("lattice", "all"):
-        for e in sigs:
-            results += check_lattice(e)
-    if suite in ("whitney", "all"):
-        whitney_sigs = sigs
-        if eps is None:
-            whitney_sigs = signatures_up_to(min(bound or 6, 8))
-        for e in whitney_sigs:
-            results += check_whitney(e)
-    if suite in ("mobius", "all"):
-        for e in sigs:
-            results += check_mobius(e)
-    if suite in ("el", "all"):
-        for e in sigs:
-            results += check_el(e)
-    if not results:
+    """Run one named suite; ``all`` runs everything at desk-scale bounds.
+
+    ``bound`` caps the signature length and stands in for a missing ``n``;
+    one the suite does not run raises BoundError rather than shrinking.
+    """
+    if suite != "all" and suite not in MAX_N and suite not in MAX_LENGTH:
         raise ValueError(f"unknown suite: {suite}")
+    _check_limit(suite, "--n" if n else "--bound", n or bound, 1, MAX_N)
+    fixed = None
+    if eps is None:
+        _check_limit(suite, "--bound", bound, 2, MAX_LENGTH)
+    else:
+        fixed = [network.strip_neutral(network.check_signature(eps))]
+    n = n or bound or 5
+    suites = {"bijection": check_bijection, "polyomino": check_polyomino,
+              "rothe": check_rothe, "forest": check_forest, "lattice": check_lattice,
+              "whitney": check_whitney, "mobius": check_mobius, "el": check_el}
+    results: list[CheckResult] = []
+    for name, check in suites.items():
+        if suite not in (name, "all"):
+            continue
+        if name in MAX_N:
+            results += check(n)
+            continue
+        default = 6 if name == "whitney" else 5
+        for e in fixed or signatures_up_to(bound or default):
+            results += check(e)
     return results

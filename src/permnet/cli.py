@@ -50,11 +50,13 @@ def load_config(path: Optional[str]) -> dict[str, int]:
     return caps
 
 
-def _parse_eps(text: str, for_poset: bool, out) -> network.Signature:
+def _parse_eps(text: str, for_poset: bool, out, cap=None) -> network.Signature:
     eps = network.parse_signature(text)
     if for_poset and any(v == 0 for v in eps):
         out.write("note: neutral points stripped from signature\n")
         eps = network.strip_neutral(eps)
+    if cap is not None and len(eps) > cap:
+        raise CliError("signature exceeds cap", EXIT_USAGE)
     return eps
 
 
@@ -133,7 +135,10 @@ def cmd_verify(args, out, caps) -> int:
     eps = network.parse_signature(args.eps) if args.eps else None
     if eps is not None and len(network.strip_neutral(eps)) > caps["max_eps_len"]:
         raise CliError("signature exceeds cap", EXIT_USAGE)
-    results = checks.run_suite(args.suite, n=args.n, eps=eps, bound=args.bound)
+    try:
+        results = checks.run_suite(args.suite, n=args.n, eps=eps, bound=args.bound)
+    except checks.BoundError as exc:
+        raise CliError(str(exc), EXIT_USAGE) from None
     failed = False
     for res in results:
         out.write(res.line() + "\n")
@@ -142,9 +147,7 @@ def cmd_verify(args, out, caps) -> int:
 
 
 def cmd_whitney(args, out, caps) -> int:
-    eps = _parse_eps(args.eps, True, out)
-    if len(eps) > caps["max_eps_len"]:
-        raise CliError("signature exceeds cap", EXIT_USAGE)
+    eps = _parse_eps(args.eps, True, out, caps["max_eps_len"])
     coeffs = poset.whitney_direct(eps, cap=caps["max_eps_len"])
     rec = poset.whitney_recurrence(eps)
     if coeffs != rec:
@@ -157,9 +160,7 @@ def cmd_whitney(args, out, caps) -> int:
 
 
 def cmd_mobius(args, out, caps) -> int:
-    eps = _parse_eps(args.eps, True, out)
-    if len(eps) > caps["max_eps_len"]:
-        raise CliError("signature exceeds cap", EXIT_USAGE)
+    eps = _parse_eps(args.eps, True, out, caps["max_eps_len"])
     lat = poset.build_lattice(eps, cap=caps["max_eps_len"])
     values = {}
     for y in range(len(lat.elements)):
@@ -175,9 +176,7 @@ def cmd_mobius(args, out, caps) -> int:
 
 def cmd_render(args, out, caps) -> int:
     if args.poset:
-        eps = _parse_eps(args.poset, True, out)
-        if len(eps) > caps["max_eps_len"]:
-            raise CliError("signature exceeds cap", EXIT_USAGE)
+        eps = _parse_eps(args.poset, True, out, caps["max_eps_len"])
         lat = poset.build_lattice(eps, cap=caps["max_eps_len"])
         if args.format == "dot":
             out.write(lat.to_dot() + "\n")

@@ -78,10 +78,15 @@ def polyomino(cells: Iterable[Cell]) -> Polyomino:
 
 
 def _rows(cells: frozenset[Cell]) -> dict[int, list[int]]:
+    """Columns of each row, top row first; rows must be contiguous."""
     rows: dict[int, list[int]] = {}
     for r, c in cells:
         rows.setdefault(r, []).append(c)
-    return {r: sorted(cs) for r, cs in sorted(rows.items())}
+    rows = {r: sorted(cs) for r, cs in sorted(rows.items())}
+    for r, cs in rows.items():
+        if cs != list(range(cs[0], cs[0] + len(cs))):
+            raise PolyominoError(COND_ROWS, f"row {r} is not contiguous")
+    return rows
 
 
 def north_edges(cells: frozenset[Cell]) -> list[Cell]:
@@ -154,9 +159,6 @@ def row_sequences(poly: Polyomino) -> list[tuple[int, ...]]:
     (K = L for the bottom row); the tail is empty when K = 0.
     """
     rows = _rows(poly.cells)
-    for r, cs in rows.items():
-        if cs != list(range(cs[0], cs[0] + len(cs))):
-            raise PolyominoError(COND_ROWS, f"row {r} is not contiguous")
     order = sorted(rows.keys(), reverse=True)  # bottom first
     out = []
     for idx, r in enumerate(order):
@@ -185,9 +187,6 @@ def _build_word_and_labels(
     is settled by the boundary ribbon's tiling.
     """
     rows = _rows(poly.cells)
-    for r, cs in rows.items():
-        if cs != list(range(cs[0], cs[0] + len(cs))):
-            raise PolyominoError(COND_ROWS, f"row {r} is not contiguous")
     word: list[int] = []
     slots: list[tuple[str, Cell]] = []
     prev_cols: Optional[list[int]] = None

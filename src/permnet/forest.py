@@ -24,6 +24,7 @@ from .network import (
     Signature,
     check_signature,
     compatible,
+    forced_edges,
     format_signature,
     max_network,
     parse_signature,
@@ -179,11 +180,8 @@ def to_network(f: Forest) -> Network:
 
 
 def from_network(net: Network, eps: Sequence[int]) -> Forest:
-    """Inverse of ``to_network``: keep only edges not forced by a crossing.
-
-    An edge (j, k) is crossing-forced when edges (i, k) and (j, l) with
-    i < j and l > k are both present.
-    """
+    """Inverse of ``to_network``: keep only the edges outside
+    ``network.forced_edges``, i.e. those that no crossing pair forces."""
     e = check_forest_signature(eps)
     if not compatible(net, e):
         raise NetworkError(
@@ -192,14 +190,12 @@ def from_network(net: Network, eps: Sequence[int]) -> Forest:
         )
     ups = list(signature_sources(e))
     downs = sorted(signature_sinks(e), reverse=True)
-    edges = net.edges
-    pts = set()
-    for i, j in edges:
-        forced_left = any(ii < i and jj == j for ii, jj in edges)
-        forced_below = any(ii == i and jj > j for ii, jj in edges)
-        if forced_left and forced_below:
-            continue
-        pts.add((downs.index(j) + 1, ups.index(i) + 1))
+    forced = forced_edges(net.edges)
+    pts = {
+        (downs.index(j) + 1, ups.index(i) + 1)
+        for i, j in net.edges
+        if (i, j) not in forced
+    }
     return make_forest(e, pts)
 
 

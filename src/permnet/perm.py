@@ -56,10 +56,13 @@ def compose(u: Sequence[int], v: Sequence[int]) -> Word:
 
 def parse_word(text: str) -> Word:
     s = text.strip()
-    if "," in s:
-        vals = [int(t) for t in s.split(",")]
-    else:
-        vals = [int(ch) for ch in s if not ch.isspace()]
+    try:
+        if "," in s:
+            vals = [int(t) for t in s.split(",")]
+        else:
+            vals = [int(ch) for ch in s if not ch.isspace()]
+    except ValueError:
+        raise PermError(f"cannot parse permutation: {s!r}") from None
     return check_word(vals)
 
 

@@ -1,18 +1,19 @@
 """The graded lattice of all networks sharing a source/sink signature.
 
 Elements are ordered by edge-set inclusion and ranked by edge count.
-Meet intersects edge sets; join unions them and completes crossings to
-a fixed point.  Covers are labeled by their single new edge, edges are
-totally ordered by (sink, then source descending), and that labeling
-supports rising/decreasing chain analysis and two independent Mobius
-computations (the textbook recursion and a crossing-edge closed form).
+Meet intersects edge sets; join unions them and adds
+``network.forced_edges`` to a fixed point.  Covers are labeled by their
+single new edge, edges are totally ordered by (sink, then source
+descending), and that labeling supports rising/decreasing chain analysis
+and two independent Mobius computations (the textbook recursion and a
+closed form: mu(x, y) is 0 unless x holds every edge forced in y).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence, Union
 
 from .network import (
     DEFAULT_CAP,
@@ -21,7 +22,9 @@ from .network import (
     NetworkError,
     Signature,
     check_signature,
+    compatible,
     enumerate_networks,
+    forced_edges,
     format_signature,
     max_network,
     sorted_edges,
@@ -40,31 +43,16 @@ def label_less(a: Edge, b: Edge) -> bool:
     return label_key(a) < label_key(b)
 
 
-def crossing_pairs(edges: Iterable[Edge]) -> list[tuple[Edge, Edge]]:
-    es = sorted(edges)
-    out = []
-    for a in es:
-        for b in es:
-            i, k = a
-            j, l = b
-            if i < j < k < l:
-                out.append((a, b))
-    return out
-
-
 def completion_pass(edges: frozenset[Edge]) -> frozenset[Edge]:
-    """Add the forced edge (j, k) for every crossing pair (i,k),(j,l)."""
-    extra = {(j, k) for (i, k), (j, l) in crossing_pairs(edges)}
-    return edges | extra
+    """Add every edge forced by a crossing pair of ``edges``."""
+    return edges | forced_edges(edges)
 
 
 def completion_closure(edges: frozenset[Edge]) -> frozenset[Edge]:
-    cur = frozenset(edges)
-    while True:
-        nxt = completion_pass(cur)
-        if nxt == cur:
-            return cur
-        cur = nxt
+    cur, nxt = None, frozenset(edges)
+    while nxt != cur:
+        cur, nxt = nxt, completion_pass(nxt)
+    return cur
 
 
 class LatticeError(ValueError):
@@ -80,7 +68,6 @@ class NetworkLattice:
     index: dict[frozenset[Edge], int]
     ranks: tuple[int, ...]
     up_adj: tuple[tuple[tuple[int, Edge], ...], ...]
-    down_adj: tuple[tuple[tuple[int, Edge], ...], ...]
     label_rank: dict[Edge, int]
     up_masks: tuple[int, ...] = field(repr=False, default=())
     down_masks: tuple[int, ...] = field(repr=False, default=())
@@ -97,9 +84,6 @@ class NetworkLattice:
         if not 0 <= x < len(self.elements):
             raise LatticeError(f"bad element index {x}")
         return x
-
-    def network(self, i: int) -> Network:
-        return self.elements[i]
 
     @property
     def bottom(self) -> int:
@@ -278,13 +262,7 @@ class NetworkLattice:
         xi, yi = self.idx(x), self.idx(y)
         if not self.leq(xi, yi):
             raise LatticeError("x not below y")
-        ex = self.elements[xi].edges
-        ey = self.elements[yi].edges
-        forced = {
-            (j, k)
-            for (i, k), (j, l) in crossing_pairs(ey)
-        }
-        if any(e not in ex for e in forced):
+        if not forced_edges(self.elements[yi].edges) <= self.elements[xi].edges:
             return 0
         return -1 if (self.ranks[yi] - self.ranks[xi]) % 2 else 1
 
@@ -336,36 +314,27 @@ def build_lattice(eps: Sequence[int], cap: int = DEFAULT_CAP) -> NetworkLattice:
         for r, e in enumerate(sorted(top_edges, key=label_key), start=1)
     }
     up: list[list[tuple[int, Edge]]] = [[] for _ in elements]
-    down: list[list[tuple[int, Edge]]] = [[] for _ in elements]
     for yi, net in enumerate(elements):
         for e in net.edges:
-            sub = net.edges - {e}
-            xi = index.get(sub)
+            xi = index.get(net.edges - {e})
             if xi is not None:
                 up[xi].append((yi, e))
-                down[yi].append((xi, e))
     up_adj = tuple(tuple(sorted(a)) for a in up)
-    down_adj = tuple(tuple(sorted(a)) for a in down)
-    order = sorted(range(len(elements)), key=lambda i: (ranks[i], i))
-    down_masks = [0] * len(elements)
-    for i in order:
-        m = 1 << i
-        for x, _e in down_adj[i]:
-            m |= down_masks[x]
-        down_masks[i] = m
-    up_masks = [0] * len(elements)
-    for i in reversed(order):
-        m = 1 << i
+    # Elements come sorted by rank, so every cover runs to a larger index.
+    down_masks = [1 << i for i in range(len(elements))]
+    for i in range(len(elements)):
         for y, _e in up_adj[i]:
-            m |= up_masks[y]
-        up_masks[i] = m
+            down_masks[y] |= down_masks[i]
+    up_masks = [1 << i for i in range(len(elements))]
+    for i in reversed(range(len(elements))):
+        for y, _e in up_adj[i]:
+            up_masks[i] |= up_masks[y]
     return NetworkLattice(
         eps=eps,
         elements=elements,
         index=index,
         ranks=ranks,
         up_adj=up_adj,
-        down_adj=down_adj,
         label_rank=label_rank,
         up_masks=tuple(up_masks),
         down_masks=tuple(down_masks),
@@ -410,8 +379,6 @@ def whitney_direct(
     ``networks`` may hold a pre-enumerated pool for the same point count
     (it is filtered by signature compatibility here).
     """
-    from .network import compatible
-
     eps = strip_neutral(check_signature(eps))
     if networks is None:
         nets = enumerate_networks(len(eps), eps, cap=cap)
@@ -475,7 +442,7 @@ def boolean_check(eps: Sequence[int], cap: int = DEFAULT_CAP) -> bool:
     """
     eps = strip_neutral(check_signature(eps))
     top = max_network(eps)
-    if crossing_pairs(top.edges):
+    if forced_edges(top.edges):
         return False
     lat = build_lattice(eps, cap=cap)
     atoms = len(top.edges)

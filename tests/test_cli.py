@@ -201,3 +201,56 @@ class TestConfig:
         cfg.write_text("max_n=99\n")
         code, _ = run("--config", str(cfg), "enumerate", "--n", "10")
         assert code == 2
+
+
+class TestMalformedText:
+    def test_non_digit_word_exits_invalid(self, capsys):
+        code, text = run("convert", "--from", "perm", "--to", "network", "3a12")
+        assert code == 3
+        assert text == ""
+        assert "invalid input" in capsys.readouterr().err
+
+    def test_stray_signature_character_exits_invalid(self, capsys):
+        code, text = run("whitney", "--eps", "+1-")
+        assert code == 3
+        assert text == ""
+        assert "invalid input" in capsys.readouterr().err
+
+
+class TestVerifyBounds:
+    @pytest.mark.parametrize(
+        "argv,maximum",
+        [
+            (("--suite", "bijection", "--n", "12"), "1..7"),
+            (("--suite", "polyomino", "--bound", "9"), "1..6"),
+            (("--suite", "all", "--bound", "9"), "1..6"),
+            (("--suite", "all", "--n", "7"), "1..6"),
+            (("--suite", "mobius", "--bound", "9"), "2..6"),
+            (("--suite", "whitney", "--bound", "9"), "2..8"),
+        ],
+    )
+    def test_bound_above_suite_maximum_is_usage_error(self, argv, maximum, capsys):
+        code, text = run("verify", *argv)
+        assert code == 2
+        assert text == ""
+        assert maximum in capsys.readouterr().err
+
+    def test_signature_length_below_two_is_usage_error(self):
+        code, text = run("verify", "--suite", "lattice", "--bound", "1")
+        assert code == 2
+        assert text == ""
+
+    @pytest.mark.parametrize("suite,lines", [("bijection", 3), ("polyomino", 1), ("rothe", 1)])
+    def test_degree_six_still_runs(self, suite, lines):
+        code, text = run("verify", "--suite", suite, "--n", "6")
+        assert code == 0
+        assert len(text.splitlines()) == lines
+        assert all(line.startswith("PASS ") for line in text.splitlines())
+
+    def test_largest_bounds_run(self):
+        code, text = run("verify", "--suite", "bijection", "--n", "7")
+        assert code == 0
+        assert "words of degree 7" in text
+        code, text = run("verify", "--suite", "whitney", "--bound", "3")
+        assert code == 0
+        assert len(text.splitlines()) == 2 * 3  # signatures +-, ++-, +--

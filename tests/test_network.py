@@ -224,3 +224,65 @@ class TestTextFormats:
 
     def test_parse_empty_edges(self):
         assert network.parse_network("n=3; edges=").rank == 0
+
+
+# -- the crossing primitive ----------------------------------------------------
+
+
+def reference_violation(edges):
+    """Oracle: the lexicographically first crossing pair missing its forced
+    edge, by the plain scan over all ordered edge pairs."""
+    es = sorted(set(edges))
+    eset = set(es)
+    for a in es:
+        for b in es:
+            i, k = a
+            j, l = b
+            if i < j < k < l and (j, k) not in eset:
+                return (a, b)
+    return None
+
+
+edge_sets = st.integers(min_value=1, max_value=8).flatmap(
+    lambda n: st.frozensets(
+        st.tuples(st.integers(1, n), st.integers(1, n)).filter(lambda e: e[0] < e[1]),
+        max_size=n * (n - 1) // 2,
+    )
+)
+
+
+@given(edge_sets)
+def test_forced_edges_match_four_index_definition(edges):
+    brute = {
+        (j, k)
+        for (i, k) in edges
+        for (j, l) in edges
+        if i < j < k < l
+    }
+    assert network.forced_edges(edges) == brute
+
+
+@given(edge_sets)
+def test_completion_violation_witness_matches_pair_scan(edges):
+    assert network.completion_violation(edges) == reference_violation(edges)
+
+
+def test_dense_word_round_trip_at_degree_400():
+    n, h = 400, 200
+    word = tuple(range(h + 1, n + 1)) + tuple(range(1, h + 1))
+    net = network.from_permutation(word)
+    assert net.rank == h * h
+    assert network.to_permutation(net) == word
+
+
+def test_signature_with_stray_sign_is_network_error():
+    with pytest.raises(NetworkError) as exc:
+        network.parse_signature("+1-")
+    assert exc.value.code == ERR_RANGE
+
+
+def test_word_with_letter_is_perm_error():
+    with pytest.raises(perm.PermError):
+        perm.parse_word("3a12")
+    with pytest.raises(perm.PermError):
+        perm.parse_word("3,x,1,2")
