@@ -3,7 +3,6 @@ and the graded lattice tying them together."""
 
 from .perm import (
     PermError,
-    SwapPoset,
     check_word,
     compose,
     format_word,
@@ -13,7 +12,6 @@ from .perm import (
     swap_covers,
     swap_length,
     swap_levels,
-    swap_poset,
 )
 from .network import (
     Network,
@@ -69,8 +67,6 @@ from .poset import (
     NetworkLattice,
     boolean_check,
     build_lattice,
-    even_odd_balance,
-    label_less,
     whitney_direct,
     whitney_recurrence,
 )

@@ -151,28 +151,6 @@ def validate_shape(poly: Polyomino) -> None:
             raise PolyominoError(COND_SOUTH, "south edges not unimodal")
 
 
-def row_sequences(poly: Polyomino) -> list[tuple[int, ...]]:
-    """Per-row seed sequences, bottom row first.
-
-    Row i (from the bottom) with L cells contributes (L+1, 1, ..., K)
-    where K counts its cells lying strictly left of the row below
-    (K = L for the bottom row); the tail is empty when K = 0.
-    """
-    rows = _rows(poly.cells)
-    order = sorted(rows.keys(), reverse=True)  # bottom first
-    out = []
-    for idx, r in enumerate(order):
-        cs = rows[r]
-        if idx == 0:
-            k = len(cs)
-        else:
-            below_left = min(rows[order[idx - 1]])
-            k = sum(1 for c in cs if c < below_left)
-        seq = (len(cs) + 1,) + tuple(range(1, k + 1))
-        out.append(seq)
-    return out
-
-
 def _build_word_and_labels(
     poly: Polyomino,
 ) -> tuple[list[int], list[tuple[str, Cell]]]:
@@ -244,11 +222,6 @@ class LabeledPolyomino:
     poly: Polyomino
     east: dict[Cell, int]
     south: dict[Cell, int]
-
-    @property
-    def degree(self) -> int:
-        vals = list(self.east.values()) + list(self.south.values())
-        return max(vals, default=0)
 
 
 def label_polyomino(poly: Polyomino) -> LabeledPolyomino:

@@ -189,15 +189,15 @@ def check_signature(eps: Iterable[int]) -> Signature:
 
 def parse_signature(text: str) -> Signature:
     """Accepts "++--", "+ + - -", and "1,1,-1,-1" forms; "0" marks a
-    neutral point in every form."""
+    neutral point in every form.  Any other character is a NetworkError."""
     s = text.strip()
-    if "1" in s:
-        try:
+    try:
+        if "1" in s or "," in s:
             vals = [int(t) for t in s.replace(" ", "").split(",") if t]
-        except ValueError:
-            raise NetworkError(ERR_RANGE, f"cannot parse signature: {s!r}") from None
-    else:
-        vals = [{"+": 1, "-": -1, "0": 0}[c] for c in s if c in "+-0"]
+        else:
+            vals = [{"+": 1, "-": -1, "0": 0}[c] for c in s if not c.isspace()]
+    except (ValueError, KeyError):
+        raise NetworkError(ERR_RANGE, f"cannot parse signature: {s!r}") from None
     return check_signature(vals)
 
 
@@ -264,9 +264,15 @@ def enumerate_networks(
     return nets
 
 
+def label_key(edge: Edge) -> tuple[int, int]:
+    """The label order on edges: earlier sink first; equal sinks, larger
+    source first.  Lattice covers are labeled and ranked in this order."""
+    return (edge[1], -edge[0])
+
+
 def sorted_edges(net: Network) -> tuple[Edge, ...]:
-    """Edges in the label order: by sink ascending, then source descending."""
-    return tuple(sorted(net.edges, key=lambda e: (e[1], -e[0])))
+    """Edges in the label order."""
+    return tuple(sorted(net.edges, key=label_key))
 
 
 # -- serialization -----------------------------------------------------------

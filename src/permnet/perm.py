@@ -7,7 +7,6 @@ always comma-separated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Optional, Sequence
 
@@ -121,23 +120,3 @@ def swap_length(base: Sequence[int], target: Sequence[int]) -> Optional[int]:
         if target in level:
             return r
     return None
-
-
-@dataclass(frozen=True)
-class SwapPoset:
-    """A base word together with its breadth-first cover grading."""
-
-    base: Word
-    levels: tuple[frozenset[Word], ...]
-
-    def length_of(self, target: Sequence[int]) -> Optional[int]:
-        t = check_word(target)
-        for r, level in enumerate(self.levels):
-            if t in level:
-                return r
-        return None
-
-
-def swap_poset(base: Sequence[int]) -> SwapPoset:
-    base = check_word(base)
-    return SwapPoset(base=base, levels=swap_levels(base))

@@ -3,10 +3,11 @@
 Elements are ordered by edge-set inclusion and ranked by edge count.
 Meet intersects edge sets; join unions them and adds
 ``network.forced_edges`` to a fixed point.  Covers are labeled by their
-single new edge, edges are totally ordered by (sink, then source
-descending), and that labeling supports rising/decreasing chain analysis
-and two independent Mobius computations (the textbook recursion and a
-closed form: mu(x, y) is 0 unless x holds every edge forced in y).
+single new edge, edges are totally ordered by ``network.label_key``
+(sink, then source descending), and that labeling supports
+rising/decreasing chain analysis and two independent Mobius computations
+(the textbook recursion and a closed form: mu(x, y) is 0 unless x holds
+every edge forced in y).
 """
 
 from __future__ import annotations
@@ -26,21 +27,13 @@ from .network import (
     enumerate_networks,
     forced_edges,
     format_signature,
+    label_key,
     max_network,
     sorted_edges,
     strip_neutral,
 )
 
 ElementRef = Union[int, Network]
-
-
-def label_key(edge: Edge) -> tuple[int, int]:
-    return (edge[1], -edge[0])
-
-
-def label_less(a: Edge, b: Edge) -> bool:
-    """Total order on edges: earlier sink first; equal sinks, larger source first."""
-    return label_key(a) < label_key(b)
 
 
 def completion_pass(edges: frozenset[Edge]) -> frozenset[Edge]:
@@ -123,42 +116,26 @@ class NetworkLattice:
         except KeyError:
             raise LatticeError(f"join left the lattice: {sorted(edges)}") from None
 
-    def join_single_pass(self, x: ElementRef, y: ElementRef) -> frozenset[Edge]:
-        """One completion pass only; exposed to compare against the closure."""
-        xi, yi = self.idx(x), self.idx(y)
-        return completion_pass(self.elements[xi].edges | self.elements[yi].edges)
-
     # -- edge labels and chains --
-
-    def el_label(self, x: ElementRef, y: ElementRef) -> Edge:
-        xi, yi = self.idx(x), self.idx(y)
-        for w, e in self.up_adj[xi]:
-            if w == yi:
-                return e
-        raise LatticeError(f"{yi} does not cover {xi}")
 
     def maximal_chains(
         self, x: ElementRef, y: ElementRef
-    ) -> Iterator[tuple[int, ...]]:
-        """All saturated chains from x to y, as index tuples."""
+    ) -> Iterator[tuple[Edge, ...]]:
+        """All saturated chains from x to y, each as its tuple of cover
+        labels (the edge each step adds)."""
         xi, yi = self.idx(x), self.idx(y)
         if not self.leq(xi, yi):
             return
         mask = self.up_masks[xi] & self.down_masks[yi]
-        stack = [(xi, (xi,))]
+        stack = [(xi, ())]
         while stack:
-            z, acc = stack.pop()
+            z, labels = stack.pop()
             if z == yi:
-                yield acc
+                yield labels
                 continue
-            for w, _e in self.up_adj[z]:
+            for w, e in self.up_adj[z]:
                 if mask >> w & 1:
-                    stack.append((w, acc + (w,)))
-
-    def chain_labels(self, chain: Sequence[int]) -> tuple[Edge, ...]:
-        return tuple(
-            self.el_label(a, b) for a, b in zip(chain, chain[1:])
-        )
+                    stack.append((w, labels + (e,)))
 
     def rising_chains(self, x: ElementRef, y: ElementRef) -> list[list[Network]]:
         """Maximal chains of [x, y] whose labels increase in the edge order."""
@@ -222,8 +199,7 @@ class NetworkLattice:
         i.e. the rank map of each chain is a permutation."""
         xi, yi = self.idx(x), self.idx(y)
         want = self.elements[yi].edges - self.elements[xi].edges
-        for chain in self.maximal_chains(xi, yi):
-            labels = self.chain_labels(chain)
+        for labels in self.maximal_chains(xi, yi):
             if len(set(labels)) != len(labels) or set(labels) != want:
                 return False
         return True
@@ -422,16 +398,6 @@ def whitney_recurrence(eps: Sequence[int]) -> tuple[int, ...]:
     """
     eps = strip_neutral(check_signature(eps))
     return _whitney_rec(eps)
-
-
-def even_odd_balance(eps: Sequence[int], cap: int = DEFAULT_CAP) -> tuple[int, int]:
-    """(elements of even rank, elements of odd rank).
-
-    Equal whenever any edge is possible; the one-element degenerate case
-    gives (1, 0).
-    """
-    coeffs = whitney_direct(eps, cap=cap)
-    return (sum(coeffs[0::2]), sum(coeffs[1::2]))
 
 
 def boolean_check(eps: Sequence[int], cap: int = DEFAULT_CAP) -> bool:

@@ -1,7 +1,5 @@
 from __future__ import annotations
 
-from itertools import permutations
-
 import pytest
 
 from permnet import network
@@ -11,10 +9,3 @@ from permnet import network
 def networks_by_degree():
     """All networks on 1..7 points, enumerated once."""
     return {n: network.enumerate_networks(n) for n in range(1, 8)}
-
-
-@pytest.fixture(scope="session")
-def words_by_degree():
-    return {
-        n: [tuple(w) for w in permutations(range(1, n + 1))] for n in range(1, 8)
-    }

@@ -1,17 +1,18 @@
 """Acceptance criteria, one test per criterion, one PASS/FAIL line each.
 
 Every tolerance here is exact equality; the objects are finite and the
-checks exhaustive at the stated bounds.
+checks exhaustive at the stated bounds.  The exhaustive loops are the
+``checks`` suites that ``permnet verify`` runs; only the worked examples
+live here.
 """
 
 from __future__ import annotations
 
-from itertools import permutations
 from math import factorial
 
 import pytest
 
-from permnet import diagram, forest, network, perm, poset
+from permnet import checks, diagram, forest, network, perm, poset
 from permnet.network import parse_signature
 
 
@@ -20,16 +21,20 @@ def report(num: int, description: str, ok: bool):
     assert ok, f"criterion {num}: {description}"
 
 
-def signatures(length: int) -> list[tuple[int, ...]]:
-    out = []
-    for total in range(2, length + 1):
-        for mask in range(1 << (total - 2)):
-            out.append(
-                (1,)
-                + tuple(1 if mask >> i & 1 else -1 for i in range(total - 2))
-                + (-1,)
-            )
-    return out
+# Zero-free signatures with valid ends: 2**(length - 2) of each length >= 2.
+SIGNATURES_6 = 31
+SIGNATURES_8 = 127
+
+
+def passed(results: list[checks.CheckResult], expected: int) -> bool:
+    """A suite passes only if it ran the expected number of checks (so the
+    bound it was given was honoured) and every one of them passed."""
+    return len(results) == expected and all(r.passed for r in results)
+
+
+@pytest.fixture(scope="module")
+def bijection():
+    return {n: checks.check_bijection(n) for n in range(1, 8)}
 
 
 @pytest.fixture(scope="module")
@@ -38,28 +43,33 @@ def pool8():
 
 
 @pytest.fixture(scope="module")
-def lattices6():
-    return {eps: poset.build_lattice(eps) for eps in signatures(6)}
+def direct8(pool8):
+    """Direct Whitney counts for every signature of length <= 8."""
+    return {
+        eps: poset.whitney_direct(eps, networks=pool8 if len(eps) == 8 else None)
+        for eps in checks.signatures_up_to(8)
+    }
+
+
+@pytest.fixture(scope="module")
+def el6():
+    return checks.run_suite("el", bound=6)
 
 
 class TestAcceptance:
-    def test_01_cardinality(self, networks_by_degree):
-        ok = all(
-            len(networks_by_degree[n]) == factorial(n)
-            and len(set(networks_by_degree[n])) == factorial(n)
-            for n in range(1, 8)
-        )
-        report(1, "network count is n! for n = 1..7", ok)
-
-    def test_02_round_trips(self, networks_by_degree, words_by_degree):
+    def test_01_cardinality(self, bijection):
         ok = True
         for n in range(1, 8):
-            for w in words_by_degree[n]:
-                if network.to_permutation(network.from_permutation(w)) != w:
-                    ok = False
-            for net in networks_by_degree[n]:
-                if network.from_permutation(network.to_permutation(net)) != net:
-                    ok = False
+            distinct = [r for r in bijection[n] if r.name == "distinct-networks"]
+            count = f"{factorial(n)}/{factorial(n)} "
+            ok = ok and passed(distinct, 1) and distinct[0].detail.startswith(count)
+        report(1, "network count is n! for n = 1..7", ok)
+
+    def test_02_round_trips(self, bijection):
+        ok = all(
+            passed([r for r in bijection[n] if r.name.endswith("round-trip")], 2)
+            for n in range(1, 8)
+        )
         report(2, "word and network round trips are identities for n <= 7", ok)
 
     def test_03_worked_network(self):
@@ -92,13 +102,8 @@ class TestAcceptance:
     def test_05_rothe_matches_network_route(self):
         golden = diagram.rothe_edges((2, 7, 1, 4, 6, 3, 5))
         ok = golden == {(1, 2), (1, 7), (3, 7), (5, 6), (5, 7)}
-        count = 0
-        for w in permutations(range(1, 7)):
-            count += 1
-            if diagram.rothe_edges(w) != network.from_permutation(perm.inverse(w)).edges:
-                ok = False
-                break
-        ok = ok and count == 720
+        rothe = checks.check_rothe(6)
+        ok = ok and passed(rothe, 1) and "on 720 words" in rothe[0].detail
         report(5, "word-chain edges equal the inverse word's network on all 720", ok)
 
     def test_06_tiling_golden(self):
@@ -109,31 +114,22 @@ class TestAcceptance:
         sizes = sorted(s for _run, s in diagram.maximal_dyck_tiling(ribbon))
         report(6, "worked ribbon tiles into sizes {0,0,0,1,2}", sizes == [0, 0, 0, 1, 2])
 
-    def test_07_whitney_triple(self, pool8):
+    def test_07_whitney_triple(self, direct8):
         golden = poset.whitney_recurrence(parse_signature("++---"))
-        ok = golden == (1, 6, 12, 13, 9, 4, 1)
-        for eps in signatures(8):
-            pool = pool8 if len(eps) == 8 else None
-            direct = poset.whitney_direct(eps, networks=pool)
-            if direct != poset.whitney_recurrence(eps):
-                ok = False
-                break
-            if direct != forest.generating_function(eps):
-                ok = False
-                break
+        ok = golden == (1, 6, 12, 13, 9, 4, 1) and len(direct8) == SIGNATURES_8
+        ok = ok and all(
+            direct == poset.whitney_recurrence(eps) == forest.generating_function(eps)
+            for eps, direct in direct8.items()
+        )
         report(7, "direct, recurrence and forest counts agree for lengths <= 8", ok)
 
-    def test_08_even_odd_balance(self, pool8):
-        ok = True
-        for eps in signatures(8):
-            pool = pool8 if len(eps) == 8 else None
-            coeffs = poset.whitney_direct(eps, networks=pool)
-            if sum(coeffs[0::2]) != sum(coeffs[1::2]):
-                ok = False
-                break
+    def test_08_even_odd_balance(self, direct8):
+        ok = len(direct8) == SIGNATURES_8 and all(
+            sum(direct[0::2]) == sum(direct[1::2]) for direct in direct8.values()
+        )
         report(8, "even and odd rank counts balance for lengths <= 8", ok)
 
-    def test_09_forest_suite(self, lattices6):
+    def test_09_forest_suite(self):
         fig = forest.make_forest(parse_signature("+++---"), [(2, 1), (3, 2), (1, 3)])
         ok = forest.strand_permutation(fig) == (5, 4, 2, 1, 6, 3)
         ex = forest.make_forest(
@@ -149,102 +145,38 @@ class TestAcceptance:
             parse_signature("++-+--"), [(1, 1), (2, 2), (1, 3), (3, 1)]
         )
         ok = ok and forest.point_count_vs_swap_length(ex20) == (4, 4)
-        for eps in signatures(6):
-            base = forest.max_network_permutation(eps)
-            for f in forest.enumerate_forests(eps):
-                net = forest.to_network(f)
-                if forest.strand_permutation(f) != perm.inverse(
-                    network.to_permutation(net)
-                ):
-                    ok = False
-                    break
-                leaf_word = forest.leaf_deletion_permutation(f)
-                product = perm.compose(
-                    forest.strand_permutation(f, resolve_crossings=False),
-                    perm.inverse(base),
-                )
-                if leaf_word != perm.inverse(product) or perm.swap_length(base, leaf_word) != f.size:
-                    ok = False
-                    break
-            if not ok:
-                break
+        ok = ok and passed(checks.run_suite("forest", bound=6), 2 * SIGNATURES_6)
         report(9, "strand, leaf-deletion and swap-length identities for lengths <= 6", ok)
 
-    def test_10_lattice_certification(self, lattices6):
-        ok = True
-        for eps, lat in lattices6.items():
-            n = len(lat.elements)
-            for x in range(n):
-                for y in range(n):
-                    m = lat.idx(lat.meet(x, y))
-                    j = lat.idx(lat.join(x, y))
-                    if lat.down_masks[x] & lat.down_masks[y] != lat.down_masks[m]:
-                        ok = False
-                    if lat.up_masks[x] & lat.up_masks[y] != lat.up_masks[j]:
-                        ok = False
-                    if lat.idx(lat.meet(x, j)) != x or lat.idx(lat.join(x, m)) != x:
-                        ok = False
-                if not ok:
-                    break
-            if not ok:
-                break
+    def test_10_lattice_certification(self):
+        ok = passed(checks.run_suite("lattice", bound=6), SIGNATURES_6)
         report(10, "meet/join universal properties and absorption for lengths <= 6", ok)
 
-    def test_11_el_mobius_suite(self, lattices6):
-        lat = lattices6[parse_signature("++--")]
+    def test_11_el_mobius_suite(self, el6):
+        lat = poset.build_lattice(parse_signature("++--"))
         top = lat.idx(network.validate(4, [(1, 3), (2, 3), (2, 4)]))
         ok = lat.mobius_recursive(lat.bottom, top) == 0
         for z in lat.interval(lat.bottom, top):
             if z != top:
                 want = -1 if lat.ranks[z] % 2 else 1
                 ok = ok and lat.mobius_recursive(lat.bottom, z) == want
-        for eps, lattice in lattices6.items():
-            for x in range(len(lattice.elements)):
-                for y in poset._bits(lattice.up_masks[x]):
-                    mu = lattice.mobius_recursive(x, y)
-                    if mu not in (-1, 0, 1) or mu != lattice.mobius_closed(x, y):
-                        ok = False
-                        break
-                    sign = -1 if (lattice.ranks[y] - lattice.ranks[x]) % 2 else 1
-                    if sign * mu != lattice.decreasing_chain_count(x, y):
-                        ok = False
-                        break
-                    rising = lattice.rising_chains(x, y)
-                    if len(rising) != 1:
-                        ok = False
-                        break
-                    least = lattice.lex_least_chain(x, y)
-                    if list(least) != [lattice.idx(net) for net in rising[0]]:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if not ok:
-                break
+        ok = ok and passed(checks.run_suite("mobius", bound=6), SIGNATURES_6)
+        ok = ok and passed(el6, SIGNATURES_6)
         report(
             11,
             "unique lex-first rising chains and Mobius identities for lengths <= 6",
             ok,
         )
 
-    def test_12_snelling(self, lattices6):
-        ok = True
-        for eps, lat in lattices6.items():
-            for x in range(len(lat.elements)):
-                for y in poset._bits(lat.up_masks[x]):
-                    if not lat.snelling_check(x, y):
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if not ok:
-                break
+    def test_12_snelling(self, el6):
+        ok = passed(el6, SIGNATURES_6)
         report(12, "every maximal chain permutes its interval's label ranks", ok)
 
     def test_13_boolean_case(self):
-        ok = True
+        signatures = checks.signatures_up_to(8)
+        ok = len(signatures) == SIGNATURES_8
         hits = 0
-        for eps in signatures(8):
+        for eps in signatures:
             try:
                 if poset.boolean_check(eps):
                     hits += 1

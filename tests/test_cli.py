@@ -216,6 +216,12 @@ class TestMalformedText:
         assert text == ""
         assert "invalid input" in capsys.readouterr().err
 
+    def test_stray_signature_letter_exits_invalid(self, capsys):
+        code, text = run("whitney", "--eps", "++x--")
+        assert code == 3
+        assert text == ""
+        assert "invalid input" in capsys.readouterr().err
+
 
 class TestVerifyBounds:
     @pytest.mark.parametrize(

@@ -281,6 +281,12 @@ def test_signature_with_stray_sign_is_network_error():
     assert exc.value.code == ERR_RANGE
 
 
+def test_signature_with_stray_letter_is_network_error():
+    with pytest.raises(NetworkError) as exc:
+        network.parse_signature("++x--")
+    assert exc.value.code == ERR_RANGE
+
+
 def test_word_with_letter_is_perm_error():
     with pytest.raises(perm.PermError):
         perm.parse_word("3a12")

@@ -139,8 +139,3 @@ class TestSwapLength:
                         for w in levels[i - 1]:
                             covered |= perm.swap_covers(w)
                         assert level <= covered
-
-    def test_swap_poset_wrapper(self):
-        sp = perm.swap_poset((3, 1, 2))
-        assert sp.base == (3, 1, 2)
-        assert sp.length_of((1, 2, 3)) == 2
