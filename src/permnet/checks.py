@@ -171,8 +171,7 @@ def check_forest(eps: network.Signature) -> list[CheckResult]:
     return out
 
 
-def check_lattice(eps: network.Signature) -> list[CheckResult]:
-    lat = poset.build_lattice(eps)
+def check_lattice(lat: poset.NetworkLattice) -> list[CheckResult]:
     n = len(lat.elements)
     bad = None
     for x in range(n):
@@ -220,8 +219,7 @@ def check_whitney(eps: network.Signature) -> list[CheckResult]:
     ]
 
 
-def check_mobius(eps: network.Signature) -> list[CheckResult]:
-    lat = poset.build_lattice(eps)
+def check_mobius(lat: poset.NetworkLattice) -> list[CheckResult]:
     bad = None
     pairs = 0
     for x in range(len(lat.elements)):
@@ -248,8 +246,7 @@ def check_mobius(eps: network.Signature) -> list[CheckResult]:
     ]
 
 
-def check_el(eps: network.Signature) -> list[CheckResult]:
-    lat = poset.build_lattice(eps)
+def check_el(lat: poset.NetworkLattice) -> list[CheckResult]:
     bad = None
     intervals = 0
     for x in range(len(lat.elements)):
@@ -318,6 +315,7 @@ def run_suite(
     suites = {"bijection": check_bijection, "polyomino": check_polyomino,
               "rothe": check_rothe, "forest": check_forest, "lattice": check_lattice,
               "whitney": check_whitney, "mobius": check_mobius, "el": check_el}
+    lattices: dict[network.Signature, poset.NetworkLattice] = {}
     results: list[CheckResult] = []
     for name, check in suites.items():
         if suite not in (name, "all"):
@@ -327,5 +325,9 @@ def run_suite(
             continue
         default = 6 if name == "whitney" else 5
         for e in fixed or signatures_up_to(bound or default):
+            if name in ("lattice", "mobius", "el"):
+                if e not in lattices:
+                    lattices[e] = poset.build_lattice(e)
+                e = lattices[e]
             results += check(e)
     return results

@@ -76,7 +76,7 @@ def completion_violation(edges: Iterable[Edge]) -> Optional[tuple[Edge, Edge]]:
     return (i, k), (j, min(l for jj, l in eset if jj == j and l > k))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Network:
     """n points plus a crossing-complete edge set; validates on build."""
 
@@ -85,18 +85,17 @@ class Network:
 
     def __post_init__(self):
         object.__setattr__(self, "edges", frozenset(self.edges))
-        srcs, dsts = set(), set()
+        n = self.n
         for e in self.edges:
             i, j = e
-            if not (1 <= i <= self.n and 1 <= j <= self.n):
-                raise NetworkError(ERR_RANGE, f"edge {e} out of range 1..{self.n}", e)
-            if i >= j:
-                raise NetworkError(ERR_DIRECTION, f"edge {e} must have src < dst", e)
-            srcs.add(i)
-            dsts.add(j)
-        overlap = srcs & dsts
-        if overlap:
-            p = min(overlap)
+            if not 1 <= i < j <= n:
+                if 1 <= i <= n and 1 <= j <= n:
+                    raise NetworkError(ERR_DIRECTION, f"edge {e} must have src < dst", e)
+                raise NetworkError(ERR_RANGE, f"edge {e} out of range 1..{n}", e)
+        srcs = {i for i, _ in self.edges}
+        dsts = {j for _, j in self.edges}
+        if not srcs.isdisjoint(dsts):
+            p = min(srcs & dsts)
             raise NetworkError(
                 ERR_OVERLAP, f"point {p} is both a source and a sink", p
             )
@@ -124,7 +123,7 @@ class Network:
 
 def validate(n: int, edges: Iterable[Edge]) -> Network:
     """Build a network, raising NetworkError with a distinct code otherwise."""
-    return Network(n=n, edges=frozenset(tuple(e) for e in edges))
+    return Network(n=n, edges=frozenset(map(tuple, edges)))
 
 
 def edge_order(net: Network) -> tuple[Edge, ...]:
@@ -147,22 +146,24 @@ def to_permutation(net: Network) -> Word:
 def from_permutation(word: Sequence[int]) -> Network:
     """Peel a word down to the identity, collecting one edge per exchange.
 
-    While the entry at the current last position m is not m, exchange it
-    with the first larger entry (emitting that edge); once it is m,
-    shrink the suffix.  The collected edges always form a valid network.
+    While the entry t at the last position m is not m, exchange it with
+    the first larger entry (emitting that edge); once it is m, shrink the
+    suffix.  Entries left of a partner never exceed the new t, so one
+    index carried forward finds every partner for one m: O(n^2) in all.
+    The collected edges always form a valid network.
     """
     w = list(check_word(word))
     n = len(w)
-    edges: set[Edge] = set()
-    m = n
-    while m >= 1:
-        if w[m - 1] == m:
-            m -= 1
-            continue
+    edges: list[Edge] = []
+    for m in range(n, 0, -1):
+        k = 0
         t = w[m - 1]
-        j = next(k for k in range(m) if w[k] > t)
-        edges.add((j + 1, m))
-        w[j], w[m - 1] = w[m - 1], w[j]
+        while t != m:
+            while w[k] < t:
+                k += 1
+            edges.append((k + 1, m))
+            w[k], t = t, w[k]
+        w[m - 1] = m
     return validate(n, edges)
 
 
@@ -231,13 +232,7 @@ def compatible(net: Network, eps: Sequence[int]) -> bool:
     eps = check_signature(eps)
     if net.n != len(eps):
         return False
-    srcs, dsts = net.sources, net.sinks
-    for p, v in enumerate(eps, start=1):
-        if p in srcs and v != 1:
-            return False
-        if p in dsts and v != -1:
-            return False
-    return True
+    return all(eps[i - 1] == 1 and eps[j - 1] == -1 for i, j in net.edges)
 
 
 def enumerate_networks(
@@ -249,7 +244,9 @@ def enumerate_networks(
 
     Enumerates the symmetric group and maps each word through
     ``from_permutation``; the two are in bijection, so this is exhaustive.
-    Returns a canonically sorted list.
+    Networks that do not fit ``eps`` are dropped as they are made, so peak
+    memory scales with the networks kept, not with n!.  Returns a
+    canonically sorted list.
     """
     if n > cap:
         raise NetworkError(ERR_RANGE, f"n={n} exceeds enumeration cap {cap}")
@@ -257,11 +254,10 @@ def enumerate_networks(
         eps = check_signature(eps)
         if len(eps) != n:
             raise NetworkError(ERR_RANGE, f"signature length {len(eps)} != n={n}")
-    nets = [from_permutation(w) for w in _all_perms(range(1, n + 1))]
+    nets = map(from_permutation, _all_perms(range(1, n + 1)))
     if eps is not None:
-        nets = [net for net in nets if compatible(net, eps)]
-    nets.sort(key=lambda net: (net.rank, sorted_edges(net)))
-    return nets
+        nets = (net for net in nets if compatible(net, eps))
+    return sorted(nets, key=lambda net: (net.rank, sorted_edges(net)))
 
 
 def label_key(edge: Edge) -> tuple[int, int]:

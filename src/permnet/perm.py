@@ -86,12 +86,13 @@ def swap_covers(w: Sequence[int]) -> set[Word]:
     return out
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=8)
 def swap_levels(base: Word) -> tuple[frozenset[Word], ...]:
     """Breadth-first grading of all words reachable from ``base``.
 
     Level 0 is {base}; level i+1 holds the covers of level-i words not
     seen in any earlier level, so the levels partition the reachable set.
+    Cached for a few bases only: each can hold n! words.
     """
     base = check_word(base)
     seen = {base}

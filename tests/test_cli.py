@@ -119,6 +119,22 @@ class TestVerify:
         code, _ = run("verify", "--suite", "nonsense")
         assert code == 2
 
+    def test_all_suites_build_each_lattice_once(self, monkeypatch):
+        from permnet import poset
+
+        built = []
+        original = poset.build_lattice
+
+        def build_lattice(eps):
+            built.append(eps)
+            return original(eps)
+
+        monkeypatch.setattr(poset, "build_lattice", build_lattice)
+        code, text = run("verify", "--suite", "all", "--bound", "4")
+        assert code == 0
+        assert "FAIL" not in text
+        assert len(built) == len(set(built)) == 7  # signatures of length 2..4
+
 
 class TestReports:
     def test_whitney_output(self):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
-from itertools import combinations, permutations
+import tracemalloc
+from itertools import combinations, permutations, product
 
 import pytest
 from hypothesis import given
@@ -27,6 +28,22 @@ def brute_force_networks(n):
             except NetworkError:
                 pass
     return out
+
+
+def all_signatures(n):
+    """Every signature of length n, neutral points included: entries in
+    {1, 0, -1} whose first nonzero entry, if any, is +1."""
+    return [
+        eps
+        for eps in product((1, 0, -1), repeat=n)
+        if next((v for v in eps if v), 1) == 1
+    ]
+
+
+def fits(net, eps):
+    """The pointwise definition: each point of the network is neutral or
+    has the sign ``eps`` gives it."""
+    return all(s in (0, e) for s, e in zip(network.signature_of(net), eps))
 
 
 class TestValidate:
@@ -210,6 +227,31 @@ class TestEnumerate:
     def test_cap(self):
         with pytest.raises(NetworkError):
             network.enumerate_networks(9, cap=8)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_signature_filter_matches_pointwise_definition(self, n):
+        nets = network.enumerate_networks(n)
+        for eps in all_signatures(n):
+            fitting = [net for net in nets if fits(net, eps)]
+            assert network.enumerate_networks(n, eps) == fitting
+
+    def test_compatible_matches_pointwise_definition(self, networks_by_degree):
+        for n in range(1, 6):
+            for eps in all_signatures(n):
+                for net in networks_by_degree[n]:
+                    assert network.compatible(net, eps) == fits(net, eps)
+
+    def test_signature_filter_keeps_only_fitting_networks_in_memory(self):
+        eps = network.parse_signature("+-+-+--")
+        peaks = []
+        for args in ((7,), (7, eps)):
+            tracemalloc.start()
+            try:
+                network.enumerate_networks(*args)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < peaks[0] / 4
 
 
 class TestTextFormats:

@@ -125,6 +125,13 @@ class TestSwapLength:
         # nothing reaches below the base in the cover direction
         assert perm.swap_length((1, 2, 3), (3, 2, 1)) is None
 
+    def test_levels_cache_is_bounded(self):
+        for base in permutations(range(1, 5)):
+            perm.swap_levels(base)
+        info = perm.swap_levels.cache_info()
+        assert info.maxsize is not None
+        assert info.currsize <= info.maxsize < 24
+
     def test_levels_partition_reachable(self):
         for n in range(1, 6):
             for base in permutations(range(1, n + 1)):
