@@ -7,6 +7,7 @@ Verbs: convert, enumerate, verify, whitney, mobius, render.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from typing import Optional, Sequence
 
@@ -14,6 +15,7 @@ from . import checks, diagram, forest, network, perm, poset
 
 HARD_MAX_N = 9
 HARD_MAX_EPS = 10
+HARD_MAX_CONVERT_N = 2048
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -71,25 +73,41 @@ def _forest_eps(args, net: network.Network, out) -> network.Signature:
     return sig
 
 
+def _check_degree(n: int) -> None:
+    if n > HARD_MAX_CONVERT_N:
+        raise CliError(
+            f"degree {n} exceeds the convert limit {HARD_MAX_CONVERT_N}", EXIT_USAGE
+        )
+
+
 def cmd_convert(args, out) -> int:
+    """Every source is checked against ``HARD_MAX_CONVERT_N`` once parsed,
+    before anything of its degree's size is built or written.  A
+    polyomino's degree is only known once its permutation or edges are
+    read off; that work is bounded by its cell count."""
     src, dst = args.source, args.target
     value = args.value
     if src == "perm":
         word = perm.parse_word(value)
+        _check_degree(len(word))
         net = network.from_permutation(word)
     elif src == "network":
         net = network.parse_network(value)
+        _check_degree(net.n)
     elif src == "polyomino":
         poly = diagram.polyomino_from_json(value)
         if dst == "perm":
-            out.write(perm.format_word(diagram.polyomino_permutation(poly)) + "\n")
+            word = diagram.polyomino_permutation(poly)
+            _check_degree(len(word))
+            out.write(perm.format_word(word) + "\n")
             return EXIT_OK
-        net = network.validate(
-            max((j for _, j in diagram.polyomino_edges(poly)), default=0),
-            diagram.polyomino_edges(poly),
-        )
+        edges = diagram.polyomino_edges(poly)
+        n = max((j for _, j in edges), default=0)
+        _check_degree(n)
+        net = network.validate(n, edges)
     elif src == "forest":
         f = forest.forest_from_json(value)
+        _check_degree(len(f.eps))
         if dst == "perm":
             out.write(perm.format_word(forest.strand_permutation(f)) + "\n")
             return EXIT_OK
@@ -214,7 +232,11 @@ def cmd_render(args, out, caps) -> int:
     raise CliError("render needs one of --poset/--network/--polyomino/--forest", EXIT_USAGE)
 
 
+@functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and then kept for the life
+    of the process: ``parse_args`` returns a fresh namespace every call
+    and the defaults live on the actions, so no call sees another's."""
     ap = argparse.ArgumentParser(
         prog="permnet",
         description="Networks, permutations, cell diagrams, forests, and their lattice.",

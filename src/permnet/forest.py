@@ -64,28 +64,59 @@ def young_shape(eps: Sequence[int]) -> tuple[int, ...]:
     (2, 1)
     >>> young_shape(parse_signature("++--"))
     (2, 2)
+
+    One left-to-right pass counts the sources seen at each sink: O(n).
     """
-    e = check_forest_signature(eps)
-    ups = signature_sources(e)
-    downs = signature_sinks(e)
     rows = []
-    for sink in sorted(downs, reverse=True):
-        rows.append(sum(1 for s in ups if s < sink))
-    return tuple(rows)
+    seen = 0
+    for v in check_forest_signature(eps):
+        if v == 1:
+            seen += 1
+        else:
+            rows.append(seen)
+    return tuple(reversed(rows))
 
 
 def shape_cells(shape: Sequence[int]) -> list[Cell]:
     return [(r, c) for r, width in enumerate(shape, start=1) for c in range(1, width + 1)]
 
 
+def _label_tables(eps: Signature) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Sources by column and sinks by row, both 0-based: cell (r, c) is
+    labeled (ups[c - 1], downs[r - 1])."""
+    return signature_sources(eps), signature_sinks(eps)[::-1]
+
+
 def cell_label(eps: Sequence[int], cell: Cell) -> Edge:
     """The (source, sink) pair of a cell: column picks the source in
     increasing order, row picks the sink in decreasing order."""
-    e = check_forest_signature(eps)
-    ups = signature_sources(e)
-    downs = sorted(signature_sinks(e), reverse=True)
+    ups, downs = _label_tables(check_forest_signature(eps))
     r, c = cell
     return (ups[c - 1], downs[r - 1])
+
+
+def _shadows(pts: Iterable[Cell]) -> tuple[dict[int, int], dict[int, int]]:
+    """One pass over the marks: the lowest marked row of each column and
+    the leftmost marked column of each row.  A cell (r, c) has a mark
+    below it iff low[c] < r, and one left of it iff left[r] < c."""
+    low: dict[int, int] = {}
+    left: dict[int, int] = {}
+    for r, c in pts:
+        if r < low.get(c, r + 1):
+            low[c] = r
+        if c < left.get(r, c + 1):
+            left[r] = c
+    return low, left
+
+
+def _inside(shape: Sequence[int], cell) -> bool:
+    """Whether ``cell`` is one of ``shape_cells(shape)``, without listing
+    them.  ``range`` membership, like membership in that list, accepts
+    exactly the coordinates equal to an int in range."""
+    if len(cell) != 2:
+        return False
+    r, c = cell
+    return r in range(1, len(shape) + 1) and c in range(1, shape[int(r) - 1] + 1)
 
 
 @dataclass(frozen=True)
@@ -106,19 +137,21 @@ def make_forest(eps: Sequence[int], pointed: Iterable[Cell]) -> Forest:
     """Validate cells against the shape and the no-double-shadow rule.
 
     A marked cell with marked cells both below (same column) and left
-    (same row) is rejected, reporting one witness of each kind.
+    (same row) is rejected, reporting one witness of each kind.  The
+    rule costs O(1) per mark, so this is O(n + marks); only a rejected
+    cell pays for the scan that names its witnesses.
     """
     e = check_forest_signature(eps)
     shape = young_shape(e)
     pts = frozenset(tuple(c) for c in pointed)
-    inside = set(shape_cells(shape))
     for cell in pts:
-        if cell not in inside:
+        if not _inside(shape, cell):
             raise ForestError(f"cell {cell} outside shape {shape}", cell=cell)
+    low, leftmost = _shadows(pts)
     for r, c in pts:
-        below = next(((rr, cc) for rr, cc in pts if cc == c and rr < r), None)
-        left = next(((rr, cc) for rr, cc in pts if rr == r and cc < c), None)
-        if below is not None and left is not None:
+        if low[c] < r and leftmost[r] < c:
+            below = next((rr, cc) for rr, cc in pts if cc == c and rr < r)
+            left = next((rr, cc) for rr, cc in pts if rr == r and cc < c)
             raise ForestError(
                 f"cell {(r, c)} has marked cells both below {below} and left {left}",
                 cell=(r, c),
@@ -129,18 +162,16 @@ def make_forest(eps: Sequence[int], pointed: Iterable[Cell]) -> Forest:
 
 def crossing_cells(f: Forest) -> frozenset[Cell]:
     """Empty cells where an upward ray from a mark below meets a
-    rightward ray from a mark on the left."""
+    rightward ray from a mark on the left: O(cells + marks)."""
     pts = f.pointed
-    out = set()
-    for cell in shape_cells(f.shape):
-        if cell in pts:
-            continue
-        r, c = cell
-        below = any(cc == c and rr < r for rr, cc in pts)
-        left = any(rr == r and cc < c for rr, cc in pts)
-        if below and left:
-            out.add(cell)
-    return frozenset(out)
+    low, left = _shadows(pts)
+    shape = f.shape
+    return frozenset(
+        (r, c)
+        for r, start in left.items()
+        for c in range(start + 1, shape[r - 1] + 1)
+        if low.get(c, r) < r and (r, c) not in pts
+    )
 
 
 def enumerate_forests(eps: Sequence[int]) -> list[Forest]:
@@ -175,7 +206,8 @@ def enumerate_forests(eps: Sequence[int]) -> list[Forest]:
 
 def to_network(f: Forest) -> Network:
     """Edges are the labels of marked and crossing cells."""
-    edges = {cell_label(f.eps, cell) for cell in f.pointed | crossing_cells(f)}
+    ups, downs = _label_tables(f.eps)
+    edges = {(ups[c - 1], downs[r - 1]) for r, c in f.pointed | crossing_cells(f)}
     return validate(len(f.eps), edges)
 
 
@@ -188,14 +220,11 @@ def from_network(net: Network, eps: Sequence[int]) -> Forest:
             "endpoint-range",
             f"network does not fit signature {format_signature(e)}",
         )
-    ups = list(signature_sources(e))
-    downs = sorted(signature_sinks(e), reverse=True)
+    ups, downs = _label_tables(e)
+    col = {i: c for c, i in enumerate(ups, start=1)}
+    row = {j: r for r, j in enumerate(downs, start=1)}
     forced = forced_edges(net.edges)
-    pts = {
-        (downs.index(j) + 1, ups.index(i) + 1)
-        for i, j in net.edges
-        if (i, j) not in forced
-    }
+    pts = {(row[j], col[i]) for i, j in net.edges if (i, j) not in forced}
     return make_forest(e, pts)
 
 
@@ -231,28 +260,28 @@ def _route(f: Forest, resolve_crossings: bool) -> dict[tuple[str, int], int]:
     they pass straight through.
     """
     shape = f.shape
-    inside = set(shape_cells(shape))
     pts = f.pointed
     crossings = crossing_cells(f) if resolve_crossings else frozenset()
+    ups, downs = _label_tables(f.eps)
+    low, left = _shadows(pts)
     starts: list[tuple[Cell, str, int]] = []
     for cell in sorted(pts):
         r, c = cell
-        src, snk = cell_label(f.eps, cell)
-        left_in = any(rr == r and cc < c for rr, cc in pts)
-        below_in = any(cc == c and rr < r for rr, cc in pts)
+        left_in = left[r] < c
+        below_in = low[c] < r
         if left_in and below_in:
             raise ForestError(f"marking rule violated at {cell}", cell=cell)
         if not left_in:
-            starts.append((cell, "up", snk))
+            starts.append((cell, "up", downs[r - 1]))
         if not below_in:
-            starts.append((cell, "right", src))
+            starts.append((cell, "right", ups[c - 1]))
     exits: dict[tuple[str, int], int] = {}
     for cell, direction, label in starts:
         r, c = cell
         d = direction
         while True:
             nr, nc = (r + 1, c) if d == "up" else (r, c + 1)
-            if (nr, nc) not in inside:
+            if nr > len(shape) or nc > shape[nr - 1]:
                 key = ("top", c) if d == "up" else ("right", r)
                 if key in exits:
                     raise ForestError(f"two strands exit at {key}")

@@ -2,6 +2,9 @@ from __future__ import annotations
 
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -276,3 +279,70 @@ class TestVerifyBounds:
         code, text = run("verify", "--suite", "whitney", "--bound", "3")
         assert code == 0
         assert len(text.splitlines()) == 2 * 3  # signatures +-, ++-, +--
+
+
+CALLS_SCRIPT = """
+import contextlib, io, json, sys
+from permnet import cli
+results = []
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stderr(err):
+        rc = cli.main(argv, out=out)
+    results.append([rc, out.getvalue(), err.getvalue()])
+print(json.dumps(results))
+"""
+
+
+def calls_in_one_process(argvs):
+    """(exit code, stdout, stderr) of each ``cli.main`` call, made in order
+    in one fresh interpreter."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-c", CALLS_SCRIPT, json.dumps(argvs)],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    return [tuple(r) for r in json.loads(proc.stdout)]
+
+
+class TestParserReuse:
+    def test_calls_in_one_process_match_calls_alone(self, tmp_path):
+        argvs = [
+            ["render", "--format", "dot", "--poset", "+-"],
+            ["convert", "--from", "perm", "--to", "network", "3a12"],
+            ["render", "--poset", "+-"],
+            ["--config", str(tmp_path / "missing.txt"), "whitney", "--eps", "+-"],
+            ["whitney", "--eps", "+-"],
+        ]
+        together = calls_in_one_process(argvs)
+        alone = [calls_in_one_process([argv])[0] for argv in argvs]
+        assert together == alone
+        assert [rc for rc, _, _ in together] == [0, 3, 0, 2, 0]
+        assert cli.build_parser() is cli.build_parser()
+
+
+ABOVE_CEILING = cli.HARD_MAX_CONVERT_N + 1
+
+
+class TestConvertCeiling:
+    @pytest.mark.parametrize(
+        "source,value",
+        [
+            ("network", "n=3000000; edges="),
+            ("network", f"n={ABOVE_CEILING}; edges="),
+            ("perm", ",".join(str(v) for v in range(ABOVE_CEILING, 0, -1))),
+            ("forest", json.dumps({"epsilon": "+" * (ABOVE_CEILING - 1) + "-", "pointed": []})),
+        ],
+    )
+    def test_degree_above_ceiling_is_usage_error(self, source, value, capsys):
+        code, text = run("convert", "--from", source, "--to", "perm", value)
+        assert code == 2
+        assert text == ""
+        assert str(cli.HARD_MAX_CONVERT_N) in capsys.readouterr().err
+
+    def test_degree_at_ceiling_converts(self):
+        n = cli.HARD_MAX_CONVERT_N
+        code, text = run("convert", "--from", "network", "--to", "perm", f"n={n}; edges=")
+        assert code == 0
+        assert text == ",".join(str(v) for v in range(1, n + 1)) + "\n"

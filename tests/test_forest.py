@@ -4,8 +4,10 @@ import random
 from itertools import permutations
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from permnet import forest, network, perm
+from permnet import checks, forest, network, perm
 from permnet.forest import ForestError
 from permnet.network import parse_signature
 
@@ -272,3 +274,81 @@ class TestSerialization:
         art = forest.render_forest(f)
         assert art.count("[•]") == 2
         assert art.count("[□]") == 1
+
+
+# -- the linear shadow tests against the pointwise definitions ----------------
+
+
+def reference_crossing_cells(f):
+    """The pointwise definition: scan every mark for every empty cell."""
+    pts = f.pointed
+    out = set()
+    for cell in forest.shape_cells(f.shape):
+        if cell in pts:
+            continue
+        r, c = cell
+        below = any(cc == c and rr < r for rr, cc in pts)
+        left = any(rr == r and cc < c for rr, cc in pts)
+        if below and left:
+            out.add(cell)
+    return frozenset(out)
+
+
+def reference_shadow_error(pts):
+    """The first marked cell, in ``pts`` order, with marks both below it and
+    left of it, with the first witness of each kind in that order."""
+    for r, c in pts:
+        below = next(((rr, cc) for rr, cc in pts if cc == c and rr < r), None)
+        left = next(((rr, cc) for rr, cc in pts if rr == r and cc < c), None)
+        if below is not None and left is not None:
+            message = f"cell {(r, c)} has marked cells both below {below} and left {left}"
+            return (r, c), (below, left), message
+    return None
+
+
+def greedy_marking(rng, n, p):
+    """A signature of length n and a valid marking, drawn like the benchmark's
+    ``random_forest``: cells bottom row first, left to right, each marked with
+    probability p unless its column has a mark below and its row one left."""
+    eps = "+" + "".join(rng.choice("+-") for _ in range(n - 2)) + "-"
+    shape = forest.young_shape(sig(eps))
+    marks, cols, rows = [], set(), set()
+    for r, width in enumerate(shape, start=1):
+        for c in range(1, width + 1):
+            if rng.random() < p and not (c in cols and r in rows):
+                marks.append((r, c))
+                cols.add(c)
+                rows.add(r)
+    return sig(eps), shape, marks
+
+
+@pytest.mark.parametrize("length", range(2, 7))
+def test_crossing_cells_match_pointwise_definition(length):
+    for e in checks.signatures_up_to(length):
+        if len(e) == length:
+            for f in forest.enumerate_forests(e):
+                assert forest.crossing_cells(f) == reference_crossing_cells(f)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 128), st.floats(0.0, 1.0), st.randoms(use_true_random=False))
+def test_crossing_cells_match_pointwise_definition_on_random_markings(n, p, rng):
+    e, _shape, marks = greedy_marking(rng, n, p)
+    f = forest.make_forest(e, marks)
+    assert forest.crossing_cells(f) == reference_crossing_cells(f)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(4, 64), st.floats(0.0, 0.3), st.randoms(use_true_random=False))
+def test_double_shadow_error_matches_reference_scan(n, p, rng):
+    e, shape, marks = greedy_marking(rng, n, p)
+    rows = [r for r in range(2, len(shape) + 1) if shape[r - 1] >= 2]
+    assume(rows)
+    r = rng.choice(rows)
+    c = rng.randint(2, shape[r - 1])
+    marks += [(rng.randint(1, r - 1), c), (r, rng.randint(1, c - 1)), (r, c)]
+    marks += rng.sample(forest.shape_cells(shape), rng.randint(0, 3))
+    expected = reference_shadow_error(frozenset(marks))
+    with pytest.raises(ForestError) as exc:
+        forest.make_forest(e, marks)
+    assert (exc.value.cell, exc.value.witnesses, str(exc.value)) == expected
