@@ -173,17 +173,14 @@ def check_forest(eps: network.Signature) -> list[CheckResult]:
 
 def check_lattice(lat: poset.NetworkLattice) -> list[CheckResult]:
     n = len(lat.elements)
+    up, down = lat.up_masks, lat.down_masks
+    meet, join = lat.meet_index, lat.join_index
     bad = None
     for x in range(n):
         for y in range(n):
-            m = lat.idx(lat.meet(x, y))
-            j = lat.idx(lat.join(x, y))
-            down = lat.down_masks[x] & lat.down_masks[y]
-            up = lat.up_masks[x] & lat.up_masks[y]
-            if down != lat.down_masks[m] or up != lat.up_masks[j]:
-                bad = (x, y)
-                break
-            if lat.idx(lat.meet(x, j)) != x or lat.idx(lat.join(x, m)) != x:
+            m, j = meet(x, y), join(x, y)
+            if (down[x] & down[y] != down[m] or up[x] & up[y] != up[j]
+                    or meet(x, j) != x or join(x, m) != x):
                 bad = (x, y)
                 break
         if bad:
@@ -256,8 +253,7 @@ def check_el(lat: poset.NetworkLattice) -> list[CheckResult]:
             if len(rising) != 1:
                 bad = (x, y, "rising-count")
                 break
-            least = lat.lex_least_chain(x, y)
-            if list(least) != [lat.idx(net) for net in rising[0]]:
+            if [lat.elements[i] for i in lat.lex_least_chain(x, y)] != rising[0]:
                 bad = (x, y, "lex-least")
                 break
             if not lat.snelling_check(x, y):

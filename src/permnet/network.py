@@ -4,8 +4,8 @@ A network is a duplicate-free set of directed edges (i, j) with i < j
 such that no point is simultaneously a source and a sink, closed under
 crossing completion: if (i, k) and (j, l) are present with i < j < k < l
 then (j, k) must be present too.  ``forced_edges`` is the one crossing
-test: validation, lattice join, the Mobius closed form and forest
-inversion all go through it.
+test: validation, the Mobius closed form and forest inversion call it,
+and the lattice join's per-edge forcing table is derived from it.
 
 Networks biject with permutations: ``to_permutation`` multiplies the
 edges out as position transpositions in the canonical (size, leftmost)

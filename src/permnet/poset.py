@@ -1,19 +1,24 @@
 """The graded lattice of all networks sharing a source/sink signature.
 
 Elements are ordered by edge-set inclusion and ranked by edge count.
-Meet intersects edge sets; join unions them and adds
-``network.forced_edges`` to a fixed point.  Covers are labeled by their
-single new edge, edges are totally ordered by ``network.label_key``
-(sink, then source descending), and that labeling supports
-rising/decreasing chain analysis and two independent Mobius computations
-(the textbook recursion and a closed form: mu(x, y) is 0 unless x holds
-every edge forced in y).
+Edges are totally ordered by ``network.label_key`` (sink, then source
+descending); edge number r in that order is bit r - 1 of an element's
+int edge mask, and ``mask_index`` maps each mask back to its element.
+Covers are the masks one bit apart, labeled by their new edge.  Meet is
+``&`` of the masks; join is ``|`` closed by a per-edge forcing table
+derived from ``network.forced_edges``.  The labeling supports
+rising/decreasing chain analysis, a Snelling check (every cover adds
+exactly its label's edge, and the order is inclusion) and two
+independent Mobius computations (the textbook recursion and a closed
+form: mu(x, y) is 0 unless x holds every edge forced in y).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, reduce
+from itertools import combinations
+from operator import and_
 from typing import Iterator, Optional, Sequence, Union
 
 from .network import (
@@ -36,20 +41,12 @@ from .network import (
 ElementRef = Union[int, Network]
 
 
-def completion_pass(edges: frozenset[Edge]) -> frozenset[Edge]:
-    """Add every edge forced by a crossing pair of ``edges``."""
-    return edges | forced_edges(edges)
-
-
-def completion_closure(edges: frozenset[Edge]) -> frozenset[Edge]:
-    cur, nxt = None, frozenset(edges)
-    while nxt != cur:
-        cur, nxt = nxt, completion_pass(nxt)
-    return cur
-
-
 class LatticeError(ValueError):
     pass
+
+
+def _cache():
+    return field(default=None, init=False, repr=False, compare=False)
 
 
 @dataclass
@@ -58,20 +55,23 @@ class NetworkLattice:
 
     eps: Signature
     elements: tuple[Network, ...]
-    index: dict[frozenset[Edge], int]
     ranks: tuple[int, ...]
     up_adj: tuple[tuple[tuple[int, Edge], ...], ...]
     label_rank: dict[Edge, int]
+    edge_masks: tuple[int, ...]
+    mask_index: dict[int, int]
     up_masks: tuple[int, ...] = field(repr=False, default=())
     down_masks: tuple[int, ...] = field(repr=False, default=())
-    _mobius_rows: dict[int, dict[int, int]] = field(default_factory=dict, repr=False)
+    _forcing: Optional[tuple[tuple[int, int, int], ...]] = _cache()
+    _order_is_inclusion: Optional[bool] = _cache()
+    _mobius_last: Optional[tuple[int, dict[int, int]]] = _cache()
 
     # -- element addressing --
 
     def idx(self, x: ElementRef) -> int:
         if isinstance(x, Network):
             try:
-                return self.index[x.edges]
+                return self.mask_index[sum(1 << self.label_rank[e] - 1 for e in x.edges)]
             except KeyError:
                 raise LatticeError(f"network not in lattice: {x}") from None
         if not 0 <= x < len(self.elements):
@@ -84,10 +84,7 @@ class NetworkLattice:
 
     @property
     def top(self) -> int:
-        return self.index[max_network(self.eps).edges]
-
-    def rank(self, x: ElementRef) -> int:
-        return self.ranks[self.idx(x)]
+        return self.mask_index[(1 << len(self.label_rank)) - 1]
 
     def leq(self, x: ElementRef, y: ElementRef) -> bool:
         xi, yi = self.idx(x), self.idx(y)
@@ -100,49 +97,60 @@ class NetworkLattice:
 
     # -- lattice operations --
 
-    def meet(self, x: ElementRef, y: ElementRef) -> Network:
-        xi, yi = self.idx(x), self.idx(y)
-        edges = self.elements[xi].edges & self.elements[yi].edges
+    def _element(self, mask: int, op: str) -> int:
         try:
-            return self.elements[self.index[edges]]
+            return self.mask_index[mask]
         except KeyError:
-            raise LatticeError(f"meet left the lattice: {sorted(edges)}") from None
+            edges = sorted(e for e, r in self.label_rank.items() if mask >> r - 1 & 1)
+            raise LatticeError(f"{op} left the lattice: {edges}") from None
+
+    def _close(self, mask: int) -> int:
+        """Add forced edges to ``mask`` until none is missing."""
+        if self._forcing is None:
+            # (f, into, out): f = (j, k) is forced once the mask meets both
+            # ``into``, edges (i, k) with i < j, and ``out``, edges (j, l) with l > k.
+            bit = {e: 1 << r - 1 for e, r in self.label_rank.items()}
+            need: dict[Edge, tuple[int, int]] = {}
+            for a, c in combinations(sorted(bit), 2):
+                for f in forced_edges((a, c)):  # a = (i, k) and c = (j, l)
+                    into, out = need.get(f, (0, 0))
+                    need[f] = (into | bit[a], out | bit[c])
+            self._forcing = tuple((bit[f], i, o) for f, (i, o) in need.items())
+        while True:
+            grown = mask
+            for f, into, out in self._forcing:
+                if mask & into and mask & out:
+                    grown |= f
+            if grown == mask:
+                return mask
+            mask = grown
+
+    def meet_index(self, xi: int, yi: int) -> int:
+        """Meet of two element indices (not range-checked), as an index."""
+        return self._element(self.edge_masks[xi] & self.edge_masks[yi], "meet")
+
+    def join_index(self, xi: int, yi: int) -> int:
+        """Join of two element indices (not range-checked), as an index."""
+        return self._element(self._close(self.edge_masks[xi] | self.edge_masks[yi]), "join")
+
+    def meet(self, x: ElementRef, y: ElementRef) -> Network:
+        return self.elements[self.meet_index(self.idx(x), self.idx(y))]
 
     def join(self, x: ElementRef, y: ElementRef) -> Network:
-        xi, yi = self.idx(x), self.idx(y)
-        edges = completion_closure(self.elements[xi].edges | self.elements[yi].edges)
-        try:
-            return self.elements[self.index[edges]]
-        except KeyError:
-            raise LatticeError(f"join left the lattice: {sorted(edges)}") from None
+        return self.elements[self.join_index(self.idx(x), self.idx(y))]
 
     # -- edge labels and chains --
 
-    def maximal_chains(
-        self, x: ElementRef, y: ElementRef
-    ) -> Iterator[tuple[Edge, ...]]:
-        """All saturated chains from x to y, each as its tuple of cover
-        labels (the edge each step adds)."""
+    def _interval(self, x: ElementRef, y: ElementRef) -> tuple[int, int, int]:
+        """Indices of x <= y and the bitset of the elements between them."""
         xi, yi = self.idx(x), self.idx(y)
-        if not self.leq(xi, yi):
-            return
-        mask = self.up_masks[xi] & self.down_masks[yi]
-        stack = [(xi, ())]
-        while stack:
-            z, labels = stack.pop()
-            if z == yi:
-                yield labels
-                continue
-            for w, e in self.up_adj[z]:
-                if mask >> w & 1:
-                    stack.append((w, labels + (e,)))
+        if not self.down_masks[yi] >> xi & 1:
+            raise LatticeError("x not below y")
+        return xi, yi, self.up_masks[xi] & self.down_masks[yi]
 
     def rising_chains(self, x: ElementRef, y: ElementRef) -> list[list[Network]]:
         """Maximal chains of [x, y] whose labels increase in the edge order."""
-        xi, yi = self.idx(x), self.idx(y)
-        if not self.leq(xi, yi):
-            raise LatticeError("x not below y")
-        mask = self.up_masks[xi] & self.down_masks[yi]
+        xi, yi, mask = self._interval(x, y)
         out: list[list[Network]] = []
 
         def rec(z: int, last: int, acc: tuple[int, ...]) -> None:
@@ -158,18 +166,11 @@ class NetworkLattice:
 
     def lex_least_chain(self, x: ElementRef, y: ElementRef) -> tuple[int, ...]:
         """Greedy smallest-label maximal chain of [x, y]."""
-        xi, yi = self.idx(x), self.idx(y)
-        if not self.leq(xi, yi):
-            raise LatticeError("x not below y")
-        mask = self.up_masks[xi] & self.down_masks[yi]
+        xi, yi, mask = self._interval(x, y)
         chain = [xi]
         z = xi
         while z != yi:
-            steps = [
-                (self.label_rank[e], w)
-                for w, e in self.up_adj[z]
-                if mask >> w & 1
-            ]
+            steps = [(self.label_rank[e], w) for w, e in self.up_adj[z] if mask >> w & 1]
             if not steps:
                 raise LatticeError("interval is not graded upward")
             _r, z = min(steps)
@@ -178,10 +179,7 @@ class NetworkLattice:
 
     def decreasing_chain_count(self, x: ElementRef, y: ElementRef) -> int:
         """Number of maximal chains of [x, y] with strictly decreasing labels."""
-        xi, yi = self.idx(x), self.idx(y)
-        if not self.leq(xi, yi):
-            raise LatticeError("x not below y")
-        mask = self.up_masks[xi] & self.down_masks[yi]
+        xi, yi, mask = self._interval(x, y)
 
         def rec(z: int, last: int) -> int:
             if z == yi:
@@ -195,21 +193,36 @@ class NetworkLattice:
         return rec(xi, len(self.label_rank) + 1)
 
     def snelling_check(self, x: ElementRef, y: ElementRef) -> bool:
-        """Every maximal chain's labels hit each interval edge exactly once,
-        i.e. the rank map of each chain is a permutation."""
+        """Every cover inside [x, y] adds exactly its label's edge, and the
+        order is edge-set inclusion; so every maximal chain's labels
+        permute the edges of y - x."""
         xi, yi = self.idx(x), self.idx(y)
-        want = self.elements[yi].edges - self.elements[xi].edges
-        for labels in self.maximal_chains(xi, yi):
-            if len(set(labels)) != len(labels) or set(labels) != want:
-                return False
+        if self._order_is_inclusion is None:
+            # down(y) must be exactly the elements lacking every edge outside y.
+            masks, full = self.edge_masks, (1 << len(self.label_rank)) - 1
+            lacking = [sum(1 << i for i, m in enumerate(masks) if not m >> b & 1)
+                       for b in range(len(self.label_rank))]
+            self._order_is_inclusion = self.down_masks == tuple(
+                reduce(and_, [lacking[b] for b in _bits(m ^ full)], (1 << len(masks)) - 1)
+                for m in masks
+            )
+        if not self._order_is_inclusion:
+            return False
+        inside = self.up_masks[xi] & self.down_masks[yi]
+        for z in _bits(inside):
+            mz = self.edge_masks[z]
+            for w, e in self.up_adj[z]:
+                bit = 1 << self.label_rank[e] - 1
+                if inside >> w & 1 and (mz & bit or self.edge_masks[w] != mz | bit):
+                    return False
         return True
 
     # -- Mobius --
 
     def _mobius_row(self, xi: int) -> dict[int, int]:
-        row = self._mobius_rows.get(xi)
-        if row is not None:
-            return row
+        last = self._mobius_last
+        if last is not None and last[0] == xi:
+            return last[1]
         row = {}
         ups = sorted(_bits(self.up_masks[xi]), key=lambda z: (self.ranks[z], z))
         for z in ups:
@@ -223,21 +236,17 @@ class NetworkLattice:
                 total += row[b.bit_length() - 1]
                 m ^= b
             row[z] = -total
-        self._mobius_rows[xi] = row
+        self._mobius_last = (xi, row)
         return row
 
     def mobius_recursive(self, x: ElementRef, y: ElementRef) -> int:
-        xi, yi = self.idx(x), self.idx(y)
-        if not self.leq(xi, yi):
-            raise LatticeError("x not below y")
+        xi, yi, _mask = self._interval(x, y)
         return self._mobius_row(xi)[yi]
 
     def mobius_closed(self, x: ElementRef, y: ElementRef) -> int:
         """0 when y has a crossing-forced edge missing from x, else
         (-1) to the rank difference."""
-        xi, yi = self.idx(x), self.idx(y)
-        if not self.leq(xi, yi):
-            raise LatticeError("x not below y")
+        xi, yi, _mask = self._interval(x, y)
         if not forced_edges(self.elements[yi].edges) <= self.elements[xi].edges:
             return 0
         return -1 if (self.ranks[yi] - self.ranks[xi]) % 2 else 1
@@ -245,23 +254,16 @@ class NetworkLattice:
     # -- output --
 
     def whitney(self) -> tuple[int, ...]:
-        top = max(self.ranks, default=0)
-        counts = [0] * (top + 1)
-        for r in self.ranks:
-            counts[r] += 1
-        return tuple(counts)
+        return tuple(self.ranks.count(r) for r in range(max(self.ranks, default=0) + 1))
 
     def to_dot(self) -> str:
         lines = ["digraph lattice {", "  rankdir=BT;", "  node [shape=box];"]
         for i, net in enumerate(self.elements):
             body = ",".join(f"({a},{b})" for a, b in sorted_edges(net)) or "empty"
             lines.append(f'  n{i} [label="{body}"];')
-        arcs = []
-        for i, _net in enumerate(self.elements):
-            for w, e in self.up_adj[i]:
-                arcs.append((i, w, self.label_rank[e]))
-        for i, w, r in sorted(arcs):
-            lines.append(f'  n{i} -> n{w} [label="{r}"];')
+        for i, up in enumerate(self.up_adj):  # sorted by (i, w) already
+            for w, e in up:
+                lines.append(f'  n{i} -> n{w} [label="{self.label_rank[e]}"];')
         lines.append("}")
         return "\n".join(lines)
 
@@ -280,41 +282,49 @@ def build_lattice(eps: Sequence[int], cap: int = DEFAULT_CAP) -> NetworkLattice:
     if n > cap:
         raise NetworkError("endpoint-range", f"signature length {n} exceeds cap {cap}")
     elements = tuple(enumerate_networks(n, eps, cap=cap))
-    index = {net.edges: i for i, net in enumerate(elements)}
     ranks = tuple(net.rank for net in elements)
-    top_edges = max_network(eps).edges
-    if top_edges not in index:
+    labels = sorted(max_network(eps).edges, key=label_key)
+    label_rank = {e: r for r, e in enumerate(labels, start=1)}
+    edge_masks = tuple(sum(1 << label_rank[e] - 1 for e in net.edges) for net in elements)
+    mask_index = {m: i for i, m in enumerate(edge_masks)}
+    if (1 << len(labels)) - 1 not in mask_index:
         raise LatticeError("maximal network missing from enumeration")
-    label_rank = {
-        e: r
-        for r, e in enumerate(sorted(top_edges, key=label_key), start=1)
-    }
     up: list[list[tuple[int, Edge]]] = [[] for _ in elements]
-    for yi, net in enumerate(elements):
-        for e in net.edges:
-            xi = index.get(net.edges - {e})
+    for yi, m in enumerate(edge_masks):
+        for b in _bits(m):
+            xi = mask_index.get(m ^ 1 << b)
             if xi is not None:
-                up[xi].append((yi, e))
+                up[xi].append((yi, labels[b]))
     up_adj = tuple(tuple(sorted(a)) for a in up)
-    # Elements come sorted by rank, so every cover runs to a larger index.
-    down_masks = [1 << i for i in range(len(elements))]
-    for i in range(len(elements)):
-        for y, _e in up_adj[i]:
-            down_masks[y] |= down_masks[i]
-    up_masks = [1 << i for i in range(len(elements))]
-    for i in reversed(range(len(elements))):
-        for y, _e in up_adj[i]:
-            up_masks[i] |= up_masks[y]
+    up_masks, down_masks = _order_masks(up_adj)
     return NetworkLattice(
         eps=eps,
         elements=elements,
-        index=index,
         ranks=ranks,
         up_adj=up_adj,
         label_rank=label_rank,
-        up_masks=tuple(up_masks),
-        down_masks=tuple(down_masks),
+        edge_masks=edge_masks,
+        mask_index=mask_index,
+        up_masks=up_masks,
+        down_masks=down_masks,
     )
+
+
+def _order_masks(
+    up_adj: Sequence[Sequence[tuple[int, Edge]]],
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Bitsets of the elements above and below each element, from the
+    covers; elements come sorted by rank, so every cover runs to a larger
+    index."""
+    down_masks = [1 << i for i in range(len(up_adj))]
+    for i in range(len(up_adj)):
+        for y, _e in up_adj[i]:
+            down_masks[y] |= down_masks[i]
+    up_masks = [1 << i for i in range(len(up_adj))]
+    for i in reversed(range(len(up_adj))):
+        for y, _e in up_adj[i]:
+            up_masks[i] |= up_masks[y]
+    return tuple(up_masks), tuple(down_masks)
 
 
 # -- Whitney numbers ---------------------------------------------------------
@@ -325,10 +335,6 @@ def _poly_add(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
     return tuple(
         (a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n)
     )
-
-
-def _poly_shift(a: Sequence[int], k: int) -> tuple[int, ...]:
-    return tuple([0] * k + list(a))
 
 
 def poly_format(coeffs: Sequence[int]) -> str:
@@ -360,11 +366,8 @@ def whitney_direct(
         nets = enumerate_networks(len(eps), eps, cap=cap)
     else:
         nets = [net for net in networks if compatible(net, eps)]
-    top = max((net.rank for net in nets), default=0)
-    counts = [0] * (top + 1)
-    for net in nets:
-        counts[net.rank] += 1
-    return tuple(counts)
+    ranks = [net.rank for net in nets]
+    return tuple(ranks.count(r) for r in range(max(ranks, default=0) + 1))
 
 
 @lru_cache(maxsize=None)
@@ -383,8 +386,7 @@ def _whitney_rec(eps: Signature) -> tuple[int, ...]:
         else:
             d = 0
         sub = (1,) * (j - 1 - d) + suffix
-        part = _poly_shift(_whitney_rec(sub), len(chosen))
-        total = _poly_add(total, part)
+        total = _poly_add(total, (0,) * len(chosen) + _whitney_rec(sub))
     return total
 
 

@@ -1,14 +1,62 @@
 from __future__ import annotations
 
+import dataclasses
+import random
+
 import pytest
 
-from permnet import forest, network, poset
-from permnet.network import label_key, parse_signature, validate
+from permnet import checks, forest, network, poset
+from permnet.network import forced_edges, label_key, parse_signature, validate
 from permnet.poset import build_lattice
 
 
 def sig(text):
     return parse_signature(text)
+
+
+# -- brute-force oracles on frozensets and explicit chains -------------------
+
+
+def completion_pass(edges):
+    """Add every edge forced by a crossing pair of ``edges``."""
+    return edges | forced_edges(edges)
+
+
+def completion_closure(edges):
+    cur, nxt = None, frozenset(edges)
+    while nxt != cur:
+        cur, nxt = nxt, completion_pass(nxt)
+    return cur
+
+
+def maximal_chains(lat, x, y):
+    """All saturated chains from x to y, each as its tuple of cover labels
+    (the edge each step adds)."""
+    if not lat.leq(x, y):
+        return
+    mask = lat.up_masks[x] & lat.down_masks[y]
+    stack = [(x, ())]
+    while stack:
+        z, labels = stack.pop()
+        if z == y:
+            yield labels
+            continue
+        for w, e in lat.up_adj[z]:
+            if mask >> w & 1:
+                stack.append((w, labels + (e,)))
+
+
+def chains_permute_interval(lat, x, y):
+    """Every maximal chain of [x, y] adds each edge of y - x exactly once."""
+    want = lat.elements[y].edges - lat.elements[x].edges
+    return all(
+        len(set(labels)) == len(labels) and set(labels) == want
+        for labels in maximal_chains(lat, x, y)
+    )
+
+
+def intervals(lat):
+    return [(x, y) for x in range(len(lat.elements)) for y in poset._bits(lat.up_masks[x])]
 
 
 @pytest.fixture(scope="module")
@@ -47,7 +95,7 @@ class TestConstruction:
                 assert lat4.elements[j].edges - lat4.elements[i].edges == {e}
 
     def test_maximal_chains_have_rank_length(self, lat4):
-        for labels in lat4.maximal_chains(lat4.bottom, lat4.top):
+        for labels in maximal_chains(lat4, lat4.bottom, lat4.top):
             assert len(labels) == lat4.ranks[lat4.top]
 
 
@@ -91,7 +139,30 @@ class TestMeetJoin:
         for x in range(n):
             for y in range(n):
                 union = lat.elements[x].edges | lat.elements[y].edges
-                assert poset.completion_pass(union) == lat.join(x, y).edges
+                assert completion_pass(union) == lat.join(x, y).edges
+
+    @staticmethod
+    def assert_matches_oracle(lat, pairs):
+        for x, y in pairs:
+            ex, ey = lat.elements[x].edges, lat.elements[y].edges
+            assert lat.meet(x, y).edges == ex & ey
+            assert lat.join(x, y).edges == completion_closure(ex | ey)
+
+    def test_mask_meet_join_match_frozenset_oracle(self):
+        signatures = checks.signatures_up_to(6)
+        assert len(signatures) == 31
+        for eps in signatures:
+            lat = build_lattice(eps)
+            n = len(lat.elements)
+            self.assert_matches_oracle(lat, [(x, y) for x in range(n) for y in range(n)])
+
+    def test_mask_meet_join_match_oracle_on_length_eight_sample(self):
+        lat = build_lattice(sig("++++----"))
+        rng = random.Random(8)
+        n = len(lat.elements)
+        self.assert_matches_oracle(
+            lat, [(rng.randrange(n), rng.randrange(n)) for _ in range(3000)]
+        )
 
 
 class TestWhitney:
@@ -177,7 +248,7 @@ class TestEdgeLabels:
 
     def test_chain_labels_cover_interval_once(self, lat4):
         want = lat4.elements[lat4.top].edges
-        for labels in lat4.maximal_chains(lat4.bottom, lat4.top):
+        for labels in maximal_chains(lat4, lat4.bottom, lat4.top):
             assert sorted(labels) == sorted(want)
 
 
@@ -221,11 +292,57 @@ class TestCrossingInterval:
         assert lat4.snelling_check(lat4.bottom, top)
 
 
+def with_covers(lat, up_adj):
+    """``lat`` with its covers replaced and its order rebuilt from them."""
+    up_masks, down_masks = poset._order_masks(up_adj)
+    return dataclasses.replace(
+        lat, up_adj=up_adj, up_masks=up_masks, down_masks=down_masks
+    )
+
+
+class TestSnelling:
+    """The Snelling check against the chain oracle, and on broken lattices."""
+
+    @pytest.fixture(scope="class")
+    def lat6(self):
+        return build_lattice(sig("++-+--"))
+
+    def test_agrees_with_chain_oracle(self, lat6):
+        for x, y in intervals(lat6):
+            assert lat6.snelling_check(x, y)
+            assert chains_permute_interval(lat6, x, y)
+
+    def test_dropped_cover_fails(self, lat6):
+        z = next(z for z, up in enumerate(lat6.up_adj) if lat6.ranks[z] == 2 and up)
+        up_adj = list(lat6.up_adj)
+        up_adj[z] = up_adj[z][1:]
+        broken = with_covers(lat6, tuple(up_adj))
+        assert not all(broken.snelling_check(x, y) for x, y in intervals(broken))
+        # Covers are built as z + {e} and labeled e, so the chain statement
+        # alone cannot see a missing cover.
+        assert all(chains_permute_interval(broken, x, y) for x, y in intervals(broken))
+
+    def test_two_edge_cover_fails(self, lat6):
+        w = lat6.ranks.index(2)
+        e = min(lat6.elements[w].edges)
+        up_adj = list(lat6.up_adj)
+        up_adj[lat6.bottom] = tuple(sorted(up_adj[lat6.bottom] + ((w, e),)))
+        broken = with_covers(lat6, tuple(up_adj))
+        assert not broken.snelling_check(broken.bottom, w)
+        assert not all(broken.snelling_check(x, y) for x, y in intervals(broken))
+
+
 class TestChainsAndMobius:
     def test_single_cover_is_decreasing_chain(self, lat4):
         for x in range(len(lat4.elements)):
             for y, _e in lat4.up_adj[x]:
                 assert lat4.decreasing_chain_count(x, y) == 1
+
+    def test_mobius_rows_from_alternating_bottoms(self, lat4):
+        pairs = intervals(lat4)
+        for (x, y), (u, v) in zip(pairs, reversed(pairs)):
+            assert lat4.mobius_recursive(x, y) == lat4.mobius_closed(x, y)
+            assert lat4.mobius_recursive(u, v) == lat4.mobius_closed(u, v)
 
     def test_point_interval(self, lat4):
         i = lat4.idx(validate(4, [(2, 3)]))
