@@ -6,11 +6,12 @@ descending); edge number r in that order is bit r - 1 of an element's
 int edge mask, and ``mask_index`` maps each mask back to its element.
 Covers are the masks one bit apart, labeled by their new edge.  Meet is
 ``&`` of the masks; join is ``|`` closed by a per-edge forcing table
-derived from ``network.forced_edges``.  The labeling supports
-rising/decreasing chain analysis, a Snelling check (every cover adds
-exactly its label's edge, and the order is inclusion) and two
-independent Mobius computations (the textbook recursion and a closed
-form: mu(x, y) is 0 unless x holds every edge forced in y).
+derived from ``network.forced_edges``.  One pass per bottom x over the
+covers above it counts the rising and decreasing chains and finds the
+lex-least chain of every [x, y].  A Snelling check (every cover adds its
+label's edge, and the order is inclusion) and two independent Mobius
+computations (the recursion and a closed form: mu(x, y) is 0 unless x
+holds every edge forced in y) complete the EL and Mobius routes.
 """
 
 from __future__ import annotations
@@ -51,7 +52,9 @@ def _cache():
 
 @dataclass
 class NetworkLattice:
-    """All networks fitting a (zero-free) signature, with cover structure."""
+    """All networks fitting a (zero-free) signature, with cover structure.
+    Elements are sorted by rank: ascending index is rank order, and every
+    cover runs to a larger index."""
 
     eps: Signature
     elements: tuple[Network, ...]
@@ -63,8 +66,9 @@ class NetworkLattice:
     up_masks: tuple[int, ...] = field(repr=False, default=())
     down_masks: tuple[int, ...] = field(repr=False, default=())
     _forcing: Optional[tuple[tuple[int, int, int], ...]] = _cache()
-    _order_is_inclusion: Optional[bool] = _cache()
+    _snelling: Optional[bool] = _cache()
     _mobius_last: Optional[tuple[int, dict[int, int]]] = _cache()
+    _chains_last: Optional[tuple[int, tuple[dict, dict, dict]]] = _cache()
 
     # -- element addressing --
 
@@ -86,14 +90,9 @@ class NetworkLattice:
     def top(self) -> int:
         return self.mask_index[(1 << len(self.label_rank)) - 1]
 
-    def leq(self, x: ElementRef, y: ElementRef) -> bool:
-        xi, yi = self.idx(x), self.idx(y)
-        return bool(self.down_masks[yi] >> xi & 1)
-
     def interval(self, x: ElementRef, y: ElementRef) -> list[int]:
         xi, yi = self.idx(x), self.idx(y)
-        mask = self.up_masks[xi] & self.down_masks[yi]
-        return sorted(_bits(mask), key=lambda z: (self.ranks[z], z))
+        return list(_bits(self.up_masks[xi] & self.down_masks[yi]))
 
     # -- lattice operations --
 
@@ -141,81 +140,79 @@ class NetworkLattice:
 
     # -- edge labels and chains --
 
-    def _interval(self, x: ElementRef, y: ElementRef) -> tuple[int, int, int]:
-        """Indices of x <= y and the bitset of the elements between them."""
+    def _interval(self, x: ElementRef, y: ElementRef) -> tuple[int, int]:
         xi, yi = self.idx(x), self.idx(y)
         if not self.down_masks[yi] >> xi & 1:
             raise LatticeError("x not below y")
-        return xi, yi, self.up_masks[xi] & self.down_masks[yi]
+        return xi, yi
 
-    def rising_chains(self, x: ElementRef, y: ElementRef) -> list[list[Network]]:
-        """Maximal chains of [x, y] whose labels increase in the edge order."""
-        xi, yi, mask = self._interval(x, y)
-        out: list[list[Network]] = []
-
-        def rec(z: int, last: int, acc: tuple[int, ...]) -> None:
-            if z == yi:
-                out.append([self.elements[i] for i in acc])
-                return
+    def _chain_row(self, xi: int) -> tuple[dict, dict, dict]:
+        """For every y above x: rising and decreasing maximal chains of [x, y]
+        by last label (x's empty chain sits at 0 and at len(labels) + 1),
+        and the lex-least label word; one walk over up(x) in index order."""
+        last = self._chains_last
+        if last is not None and last[0] == xi:
+            return last[1]
+        size = len(self.label_rank) + 2
+        rising = {xi: [1] + [0] * (size - 1)}
+        falling = {xi: [0] * (size - 1) + [1]}
+        lexmin: dict[int, tuple[int, ...]] = {xi: ()}
+        for z in _bits(self.up_masks[xi]):
+            rz, fz, lz = rising[z], falling[z], lexmin[z]
             for w, e in self.up_adj[z]:
-                if mask >> w & 1 and self.label_rank[e] > last:
-                    rec(w, self.label_rank[e], acc + (w,))
+                r = self.label_rank[e]
+                # Graded, so every word into w has the same length and the
+                # least one extends the least word into some lower cover.
+                word = lz + (r,)
+                if w not in lexmin:
+                    rising[w], falling[w], lexmin[w] = [0] * size, [0] * size, word
+                elif word < lexmin[w]:
+                    lexmin[w] = word
+                rising[w][r] += sum(rz[:r])
+                falling[w][r] += sum(fz[r + 1:])
+        self._chains_last = (xi, (rising, falling, lexmin))
+        return rising, falling, lexmin
 
-        rec(xi, 0, (xi,))
-        return out
-
-    def lex_least_chain(self, x: ElementRef, y: ElementRef) -> tuple[int, ...]:
-        """Greedy smallest-label maximal chain of [x, y]."""
-        xi, yi, mask = self._interval(x, y)
-        chain = [xi]
-        z = xi
-        while z != yi:
-            steps = [(self.label_rank[e], w) for w, e in self.up_adj[z] if mask >> w & 1]
-            if not steps:
-                raise LatticeError("interval is not graded upward")
-            _r, z = min(steps)
-            chain.append(z)
-        return tuple(chain)
+    def rising_chains(self, x: ElementRef, y: ElementRef) -> int:
+        """Number of maximal chains of [x, y] whose labels increase in the
+        edge order."""
+        xi, yi = self._interval(x, y)
+        return sum(self._chain_row(xi)[0][yi])
 
     def decreasing_chain_count(self, x: ElementRef, y: ElementRef) -> int:
         """Number of maximal chains of [x, y] with strictly decreasing labels."""
-        xi, yi, mask = self._interval(x, y)
+        xi, yi = self._interval(x, y)
+        return sum(self._chain_row(xi)[1][yi])
 
-        def rec(z: int, last: int) -> int:
-            if z == yi:
-                return 1
-            total = 0
-            for w, e in self.up_adj[z]:
-                if mask >> w & 1 and self.label_rank[e] < last:
-                    total += rec(w, self.label_rank[e])
-            return total
-
-        return rec(xi, len(self.label_rank) + 1)
+    def lex_least_chain(self, x: ElementRef, y: ElementRef) -> tuple[int, ...]:
+        """Element indices of the maximal chain of [x, y] whose label word
+        is lexicographically least."""
+        xi, yi = self._interval(x, y)
+        mask, chain = self.edge_masks[xi], [xi]
+        for r in self._chain_row(xi)[2][yi]:
+            mask |= 1 << r - 1
+            chain.append(self._element(mask, "lex-least chain"))
+        return tuple(chain)
 
     def snelling_check(self, x: ElementRef, y: ElementRef) -> bool:
-        """Every cover inside [x, y] adds exactly its label's edge, and the
-        order is edge-set inclusion; so every maximal chain's labels
-        permute the edges of y - x."""
-        xi, yi = self.idx(x), self.idx(y)
-        if self._order_is_inclusion is None:
+        """Every cover adds exactly its label's edge, and the order is
+        edge-set inclusion; so every maximal chain of [x, y] permutes the
+        edges of y - x.  Neither depends on the interval, so both are
+        tested once per lattice."""
+        self._interval(x, y)
+        if self._snelling is None:
+            masks, rank = self.edge_masks, self.label_rank
+            covers_ok = all(masks[z] | 1 << rank[e] - 1 == masks[w] != masks[z]
+                            for z, up in enumerate(self.up_adj) for w, e in up)
             # down(y) must be exactly the elements lacking every edge outside y.
-            masks, full = self.edge_masks, (1 << len(self.label_rank)) - 1
+            full = (1 << len(rank)) - 1
             lacking = [sum(1 << i for i, m in enumerate(masks) if not m >> b & 1)
-                       for b in range(len(self.label_rank))]
-            self._order_is_inclusion = self.down_masks == tuple(
+                       for b in range(len(rank))]
+            self._snelling = covers_ok and self.down_masks == tuple(
                 reduce(and_, [lacking[b] for b in _bits(m ^ full)], (1 << len(masks)) - 1)
                 for m in masks
             )
-        if not self._order_is_inclusion:
-            return False
-        inside = self.up_masks[xi] & self.down_masks[yi]
-        for z in _bits(inside):
-            mz = self.edge_masks[z]
-            for w, e in self.up_adj[z]:
-                bit = 1 << self.label_rank[e] - 1
-                if inside >> w & 1 and (mz & bit or self.edge_masks[w] != mz | bit):
-                    return False
-        return True
+        return self._snelling
 
     # -- Mobius --
 
@@ -224,8 +221,7 @@ class NetworkLattice:
         if last is not None and last[0] == xi:
             return last[1]
         row = {}
-        ups = sorted(_bits(self.up_masks[xi]), key=lambda z: (self.ranks[z], z))
-        for z in ups:
+        for z in _bits(self.up_masks[xi]):
             if z == xi:
                 row[z] = 1
                 continue
@@ -240,13 +236,13 @@ class NetworkLattice:
         return row
 
     def mobius_recursive(self, x: ElementRef, y: ElementRef) -> int:
-        xi, yi, _mask = self._interval(x, y)
+        xi, yi = self._interval(x, y)
         return self._mobius_row(xi)[yi]
 
     def mobius_closed(self, x: ElementRef, y: ElementRef) -> int:
         """0 when y has a crossing-forced edge missing from x, else
         (-1) to the rank difference."""
-        xi, yi, _mask = self._interval(x, y)
+        xi, yi = self._interval(x, y)
         if not forced_edges(self.elements[yi].edges) <= self.elements[xi].edges:
             return 0
         return -1 if (self.ranks[yi] - self.ranks[xi]) % 2 else 1
@@ -314,8 +310,7 @@ def _order_masks(
     up_adj: Sequence[Sequence[tuple[int, Edge]]],
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Bitsets of the elements above and below each element, from the
-    covers; elements come sorted by rank, so every cover runs to a larger
-    index."""
+    covers, which run to larger indices."""
     down_masks = [1 << i for i in range(len(up_adj))]
     for i in range(len(up_adj)):
         for y, _e in up_adj[i]:

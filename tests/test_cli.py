@@ -123,20 +123,29 @@ class TestVerify:
         assert code == 2
 
     def test_all_suites_build_each_lattice_once(self, monkeypatch):
-        from permnet import poset
+        from permnet import network, poset
 
-        built = []
+        built, enumerated = [], []
         original = poset.build_lattice
+        original_enumerate = network.enumerate_networks
 
         def build_lattice(eps):
             built.append(eps)
             return original(eps)
 
+        def enumerate_networks(*args, **kwargs):
+            enumerated.append(args)
+            return original_enumerate(*args, **kwargs)
+
         monkeypatch.setattr(poset, "build_lattice", build_lattice)
+        monkeypatch.setattr(poset, "enumerate_networks", enumerate_networks)
+        monkeypatch.setattr(network, "enumerate_networks", enumerate_networks)
         code, text = run("verify", "--suite", "all", "--bound", "4")
         assert code == 0
         assert "FAIL" not in text
         assert len(built) == len(set(built)) == 7  # signatures of length 2..4
+        # One scan per lattice and one per direct Whitney count.
+        assert len(enumerated) == 14
 
 
 class TestReports:
@@ -252,6 +261,7 @@ class TestVerifyBounds:
             (("--suite", "all", "--n", "7"), "1..6"),
             (("--suite", "mobius", "--bound", "9"), "2..6"),
             (("--suite", "whitney", "--bound", "9"), "2..8"),
+            (("--suite", "el", "--bound", "8"), "2..7"),
         ],
     )
     def test_bound_above_suite_maximum_is_usage_error(self, argv, maximum, capsys):

@@ -32,7 +32,7 @@ def completion_closure(edges):
 def maximal_chains(lat, x, y):
     """All saturated chains from x to y, each as its tuple of cover labels
     (the edge each step adds)."""
-    if not lat.leq(x, y):
+    if not lat.down_masks[y] >> x & 1:
         return
     mask = lat.up_masks[x] & lat.down_masks[y]
     stack = [(x, ())]
@@ -44,6 +44,20 @@ def maximal_chains(lat, x, y):
         for w, e in lat.up_adj[z]:
             if mask >> w & 1:
                 stack.append((w, labels + (e,)))
+
+
+def label_words(lat, x, y):
+    """The label rank words of all maximal chains of [x, y]."""
+    return [tuple(lat.label_rank[e] for e in labels) for labels in maximal_chains(lat, x, y)]
+
+
+def chain_word(lat, chain):
+    """The label rank word of a chain given by its element indices."""
+    return tuple(lat.label_rank[dict(lat.up_adj[a])[b]] for a, b in zip(chain, chain[1:]))
+
+
+def rises(word):
+    return all(a < b for a, b in zip(word, word[1:]))
 
 
 def chains_permute_interval(lat, x, y):
@@ -263,16 +277,17 @@ class TestCrossingInterval:
         assert len(lat4.interval(lat4.bottom, top)) == 7
 
     def test_unique_rising_chain(self, lat4, top):
-        rising = lat4.rising_chains(lat4.bottom, top)
-        assert len(rising) == 1
-        chain = [lat4.idx(n) for n in rising[0]]
-        labels = [dict(lat4.up_adj[a])[b] for a, b in zip(chain, chain[1:])]
-        assert labels == [(2, 3), (1, 3), (2, 4)]
+        assert lat4.rising_chains(lat4.bottom, top) == 1
+        rising = [
+            labels for labels in maximal_chains(lat4, lat4.bottom, top)
+            if rises([lat4.label_rank[e] for e in labels])
+        ]
+        assert rising == [((2, 3), (1, 3), (2, 4))]
 
     def test_rising_chain_is_lex_least(self, lat4, top):
-        rising = lat4.rising_chains(lat4.bottom, top)
-        least = lat4.lex_least_chain(lat4.bottom, top)
-        assert list(least) == [lat4.idx(n) for n in rising[0]]
+        least = chain_word(lat4, lat4.lex_least_chain(lat4.bottom, top))
+        assert rises(least)
+        assert least == min(label_words(lat4, lat4.bottom, top))
 
     def test_no_decreasing_chain(self, lat4, top):
         assert lat4.decreasing_chain_count(lat4.bottom, top) == 0
@@ -348,7 +363,8 @@ class TestChainsAndMobius:
         i = lat4.idx(validate(4, [(2, 3)]))
         assert lat4.mobius_recursive(i, i) == 1
         assert lat4.mobius_closed(i, i) == 1
-        assert lat4.rising_chains(i, i) == [[lat4.elements[i]]]
+        assert lat4.rising_chains(i, i) == 1
+        assert lat4.lex_least_chain(i, i) == (i,)
 
     def test_boolean_interval_decreasing_count(self, lat4):
         """Intervals without crossings admit exactly one decreasing chain."""
@@ -382,11 +398,32 @@ class TestChainsAndMobius:
         lat = build_lattice(sig(eps))
         for x in range(len(lat.elements)):
             for y in poset._bits(lat.up_masks[x]):
-                rising = lat.rising_chains(x, y)
-                assert len(rising) == 1
-                least = lat.lex_least_chain(x, y)
-                assert list(least) == [lat.idx(n) for n in rising[0]]
+                assert lat.rising_chains(x, y) == 1
+                assert rises(chain_word(lat, lat.lex_least_chain(x, y)))
                 assert lat.snelling_check(x, y)
+
+    @pytest.mark.parametrize("eps", ["++--", "+-+-", "++-+--", "+++---"])
+    def test_chain_pass_matches_chain_oracle(self, eps):
+        lat = build_lattice(sig(eps))
+        for x, y in intervals(lat):
+            words = label_words(lat, x, y)
+            assert lat.rising_chains(x, y) == sum(map(rises, words))
+            assert lat.decreasing_chain_count(x, y) == sum(
+                rises(word[::-1]) for word in words
+            )
+            assert chain_word(lat, lat.lex_least_chain(x, y)) == min(words)
+
+    def test_relabeled_cover_fails_rising_count(self, lat4):
+        """The cover from the bottom to {(1,4)}, relabeled (2,3), gives
+        [bottom, {(1,3),(1,4)}] a second rising chain."""
+        w = lat4.idx(validate(4, [(1, 4)]))
+        up_adj = list(lat4.up_adj)
+        up_adj[lat4.bottom] = tuple(
+            (v, (2, 3) if v == w else e) for v, e in up_adj[lat4.bottom]
+        )
+        [result] = checks.check_el(with_covers(lat4, tuple(up_adj)))
+        assert not result.passed
+        assert "rising-count" in result.counterexample
 
 
 class TestBooleanCheck:
