@@ -57,7 +57,6 @@ from .forest import (
     leaf_deletion_permutation,
     make_forest,
     max_network_permutation,
-    point_count_vs_swap_length,
     strand_permutation,
     to_network,
     young_shape,

@@ -278,7 +278,7 @@ def check_el(lat: poset.NetworkLattice) -> list[CheckResult]:
 # signature suite runs; ``all`` runs every suite, so its limits are the
 # smallest of these.
 MAX_N = {"bijection": 7, "polyomino": 6, "rothe": 6}
-MAX_LENGTH = {"forest": 6, "lattice": 6, "whitney": 8, "mobius": 6, "el": 7}
+MAX_LENGTH = {"forest": 6, "lattice": 6, "whitney": 8, "mobius": 7, "el": 7}
 
 
 class BoundError(ValueError):

@@ -62,6 +62,14 @@ def _parse_eps(text: str, for_poset: bool, out, cap=None) -> network.Signature:
     return eps
 
 
+def _lattice_cap(caps) -> int:
+    """Signature length limit of the verbs that build a lattice or run a
+    suite: a raised ``max_eps_len`` still stops at the enumeration cap.
+    The order masks take N^2/8 bytes for N elements, about 13.5 GB for
+    the 329,462 networks of +++++-----."""
+    return min(caps["max_eps_len"], network.DEFAULT_CAP)
+
+
 def _forest_eps(args, net: network.Network, out) -> network.Signature:
     if args.eps:
         return _parse_eps(args.eps, True, out)
@@ -151,7 +159,7 @@ def cmd_enumerate(args, out, caps) -> int:
 
 def cmd_verify(args, out, caps) -> int:
     eps = network.parse_signature(args.eps) if args.eps else None
-    if eps is not None and len(network.strip_neutral(eps)) > caps["max_eps_len"]:
+    if eps is not None and len(network.strip_neutral(eps)) > _lattice_cap(caps):
         raise CliError("signature exceeds cap", EXIT_USAGE)
     try:
         results = checks.run_suite(args.suite, n=args.n, eps=eps, bound=args.bound)
@@ -178,8 +186,8 @@ def cmd_whitney(args, out, caps) -> int:
 
 
 def cmd_mobius(args, out, caps) -> int:
-    eps = _parse_eps(args.eps, True, out, caps["max_eps_len"])
-    lat = poset.build_lattice(eps, cap=caps["max_eps_len"])
+    eps = _parse_eps(args.eps, True, out, _lattice_cap(caps))
+    lat = poset.build_lattice(eps)
     values = {}
     for y in range(len(lat.elements)):
         mu = lat.mobius_recursive(lat.bottom, y)
@@ -194,8 +202,8 @@ def cmd_mobius(args, out, caps) -> int:
 
 def cmd_render(args, out, caps) -> int:
     if args.poset:
-        eps = _parse_eps(args.poset, True, out, caps["max_eps_len"])
-        lat = poset.build_lattice(eps, cap=caps["max_eps_len"])
+        eps = _parse_eps(args.poset, True, out, _lattice_cap(caps))
+        lat = poset.build_lattice(eps)
         if args.format == "dot":
             out.write(lat.to_dot() + "\n")
         else:

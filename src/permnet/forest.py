@@ -16,9 +16,8 @@ import json
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .perm import Word, check_word, identity, inverse, swap_length
+from .perm import Word, check_word, identity, inverse
 from .network import (
-    Edge,
     Network,
     NetworkError,
     Signature,
@@ -83,16 +82,9 @@ def shape_cells(shape: Sequence[int]) -> list[Cell]:
 
 def _label_tables(eps: Signature) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Sources by column and sinks by row, both 0-based: cell (r, c) is
-    labeled (ups[c - 1], downs[r - 1])."""
+    labeled (ups[c - 1], downs[r - 1]).  They are also the boundary
+    labels: south edges left to right, west edges bottom row first."""
     return signature_sources(eps), signature_sinks(eps)[::-1]
-
-
-def cell_label(eps: Sequence[int], cell: Cell) -> Edge:
-    """The (source, sink) pair of a cell: column picks the source in
-    increasing order, row picks the sink in decreasing order."""
-    ups, downs = _label_tables(check_forest_signature(eps))
-    r, c = cell
-    return (ups[c - 1], downs[r - 1])
 
 
 def _shadows(pts: Iterable[Cell]) -> tuple[dict[int, int], dict[int, int]]:
@@ -317,12 +309,6 @@ def max_network_permutation(eps: Sequence[int]) -> Word:
     return inverse(to_permutation(max_network(check_forest_signature(eps))))
 
 
-def _boundary_labels(eps: Signature) -> tuple[list[int], list[int]]:
-    downs = sorted(signature_sinks(eps))  # west labels, top row first
-    ups = list(signature_sources(eps))  # south labels, left to right
-    return downs, ups
-
-
 def leaf_deletion_permutation(
     f: Forest, order: Optional[Sequence[Cell]] = None
 ) -> Word:
@@ -337,10 +323,9 @@ def leaf_deletion_permutation(
     """
     shape = f.shape
     rows = len(shape)
-    west, south = _boundary_labels(f.eps)
-    # west[i] labels row (rows - i) counting bottom-up; store per row index
-    west_by_row = {rows - i: west[i] for i in range(rows)}
-    south_by_col = {c + 1: south[c] for c in range(len(south))}
+    south, west = _label_tables(f.eps)
+    west_by_row = dict(enumerate(west, start=1))
+    south_by_col = dict(enumerate(south, start=1))
     remaining = set(f.pointed)
 
     def is_leaf(cell: Cell) -> bool:
@@ -379,13 +364,6 @@ def generating_function(eps: Sequence[int]) -> tuple[int, ...]:
     return tuple(counts.get(i, 0) for i in range(top + 1))
 
 
-def point_count_vs_swap_length(f: Forest) -> tuple[int, Optional[int]]:
-    """(number of marked cells, swap-graded distance from the base word
-    to this forest's leaf-deletion word); the two agree."""
-    base = max_network_permutation(f.eps)
-    return (f.size, swap_length(base, leaf_deletion_permutation(f)))
-
-
 # -- serialization -----------------------------------------------------------
 
 
@@ -414,7 +392,7 @@ def render_forest(f: Forest) -> str:
     shape = f.shape
     rows = len(shape)
     crossings = crossing_cells(f)
-    west, south = _boundary_labels(f.eps)
+    south, west = _label_tables(f.eps)
     lines = []
     for r in range(rows, 0, -1):
         cells = []
@@ -425,6 +403,6 @@ def render_forest(f: Forest) -> str:
                 cells.append("[□]")
             else:
                 cells.append("[ ]")
-        lines.append(f"{west[rows - r]:>2} " + "".join(cells))
+        lines.append(f"{west[r - 1]:>2} " + "".join(cells))
     lines.append("   " + "".join(f"{v:^3}" for v in south))
     return "\n".join(lines)

@@ -6,12 +6,15 @@ descending); edge number r in that order is bit r - 1 of an element's
 int edge mask, and ``mask_index`` maps each mask back to its element.
 Covers are the masks one bit apart, labeled by their new edge.  Meet is
 ``&`` of the masks; join is ``|`` closed by a per-edge forcing table
-derived from ``network.forced_edges``.  One pass per bottom x over the
-covers above it counts the rising and decreasing chains and finds the
-lex-least chain of every [x, y].  A Snelling check (every cover adds its
-label's edge, and the order is inclusion) and two independent Mobius
-computations (the recursion and a closed form: mu(x, y) is 0 unless x
-holds every edge forced in y) complete the EL and Mobius routes.
+derived from ``network.forced_edges``.  One cached row per bottom x,
+walked once over up(x) in rank order, holds for every y above x the
+Mobius value mu(x, y) by the recursion on the order masks, the rising
+and decreasing chain counts, and the lex-least chain of [x, y].  The
+closed form reads masks too: mu(x, y) is 0 unless x holds every edge
+forced in y (one forced-edge mask per element), else (-1) to the rank
+difference.  With a Snelling check (every cover adds its label's edge,
+and the order is inclusion) these give the EL route and three
+independent Mobius routes: recursion, closed form and decreasing chains.
 """
 
 from __future__ import annotations
@@ -26,7 +29,6 @@ from .network import (
     DEFAULT_CAP,
     Edge,
     Network,
-    NetworkError,
     Signature,
     check_signature,
     compatible,
@@ -67,8 +69,8 @@ class NetworkLattice:
     down_masks: tuple[int, ...] = field(repr=False, default=())
     _forcing: Optional[tuple[tuple[int, int, int], ...]] = _cache()
     _snelling: Optional[bool] = _cache()
-    _mobius_last: Optional[tuple[int, dict[int, int]]] = _cache()
-    _chains_last: Optional[tuple[int, tuple[dict, dict, dict]]] = _cache()
+    _forced_masks: Optional[tuple[int, ...]] = _cache()
+    _row_last: Optional[tuple[int, tuple[dict, dict, dict, dict]]] = _cache()
 
     # -- element addressing --
 
@@ -89,10 +91,6 @@ class NetworkLattice:
     @property
     def top(self) -> int:
         return self.mask_index[(1 << len(self.label_rank)) - 1]
-
-    def interval(self, x: ElementRef, y: ElementRef) -> list[int]:
-        xi, yi = self.idx(x), self.idx(y)
-        return list(_bits(self.up_masks[xi] & self.down_masks[yi]))
 
     # -- lattice operations --
 
@@ -146,18 +144,28 @@ class NetworkLattice:
             raise LatticeError("x not below y")
         return xi, yi
 
-    def _chain_row(self, xi: int) -> tuple[dict, dict, dict]:
-        """For every y above x: rising and decreasing maximal chains of [x, y]
-        by last label (x's empty chain sits at 0 and at len(labels) + 1),
-        and the lex-least label word; one walk over up(x) in index order."""
-        last = self._chains_last
+    def _row(self, xi: int) -> tuple[dict, dict, dict, dict]:
+        """For every y above x: mu(x, y) by the recursion, the rising and
+        decreasing maximal chains of [x, y] by last label (x's empty chain
+        sits at 0 and at len(labels) + 1), and the lex-least label word;
+        one walk over up(x) in index order, which is rank order."""
+        last = self._row_last
         if last is not None and last[0] == xi:
             return last[1]
         size = len(self.label_rank) + 2
+        up = self.up_masks[xi]
+        mobius: dict[int, int] = {}
+        valued: dict[int, int] = {}  # mask of the elements given each nonzero mu
         rising = {xi: [1] + [0] * (size - 1)}
         falling = {xi: [0] * (size - 1) + [1]}
         lexmin: dict[int, tuple[int, ...]] = {xi: ()}
-        for z in _bits(self.up_masks[xi]):
+        for z in _bits(up):
+            below = up & self.down_masks[z] ^ 1 << z
+            mu = (-sum(v * (m & below).bit_count() for v, m in valued.items())
+                  if below else 1)
+            mobius[z] = mu
+            if mu:
+                valued[mu] = valued.get(mu, 0) | 1 << z
             rz, fz, lz = rising[z], falling[z], lexmin[z]
             for w, e in self.up_adj[z]:
                 r = self.label_rank[e]
@@ -170,26 +178,27 @@ class NetworkLattice:
                     lexmin[w] = word
                 rising[w][r] += sum(rz[:r])
                 falling[w][r] += sum(fz[r + 1:])
-        self._chains_last = (xi, (rising, falling, lexmin))
-        return rising, falling, lexmin
+        row = mobius, rising, falling, lexmin
+        self._row_last = (xi, row)
+        return row
 
     def rising_chains(self, x: ElementRef, y: ElementRef) -> int:
         """Number of maximal chains of [x, y] whose labels increase in the
         edge order."""
         xi, yi = self._interval(x, y)
-        return sum(self._chain_row(xi)[0][yi])
+        return sum(self._row(xi)[1][yi])
 
     def decreasing_chain_count(self, x: ElementRef, y: ElementRef) -> int:
         """Number of maximal chains of [x, y] with strictly decreasing labels."""
         xi, yi = self._interval(x, y)
-        return sum(self._chain_row(xi)[1][yi])
+        return sum(self._row(xi)[2][yi])
 
     def lex_least_chain(self, x: ElementRef, y: ElementRef) -> tuple[int, ...]:
         """Element indices of the maximal chain of [x, y] whose label word
         is lexicographically least."""
         xi, yi = self._interval(x, y)
         mask, chain = self.edge_masks[xi], [xi]
-        for r in self._chain_row(xi)[2][yi]:
+        for r in self._row(xi)[3][yi]:
             mask |= 1 << r - 1
             chain.append(self._element(mask, "lex-least chain"))
         return tuple(chain)
@@ -216,41 +225,24 @@ class NetworkLattice:
 
     # -- Mobius --
 
-    def _mobius_row(self, xi: int) -> dict[int, int]:
-        last = self._mobius_last
-        if last is not None and last[0] == xi:
-            return last[1]
-        row = {}
-        for z in _bits(self.up_masks[xi]):
-            if z == xi:
-                row[z] = 1
-                continue
-            m = self.up_masks[xi] & self.down_masks[z] & ~(1 << z)
-            total = 0
-            while m:
-                b = m & -m
-                total += row[b.bit_length() - 1]
-                m ^= b
-            row[z] = -total
-        self._mobius_last = (xi, row)
-        return row
-
     def mobius_recursive(self, x: ElementRef, y: ElementRef) -> int:
         xi, yi = self._interval(x, y)
-        return self._mobius_row(xi)[yi]
+        return self._row(xi)[0][yi]
 
     def mobius_closed(self, x: ElementRef, y: ElementRef) -> int:
         """0 when y has a crossing-forced edge missing from x, else
         (-1) to the rank difference."""
         xi, yi = self._interval(x, y)
-        if not forced_edges(self.elements[yi].edges) <= self.elements[xi].edges:
+        if self._forced_masks is None:
+            self._forced_masks = tuple(
+                sum(1 << self.label_rank[e] - 1 for e in forced_edges(net.edges))
+                for net in self.elements
+            )
+        if self._forced_masks[yi] & ~self.edge_masks[xi]:
             return 0
         return -1 if (self.ranks[yi] - self.ranks[xi]) % 2 else 1
 
     # -- output --
-
-    def whitney(self) -> tuple[int, ...]:
-        return tuple(self.ranks.count(r) for r in range(max(self.ranks, default=0) + 1))
 
     def to_dot(self) -> str:
         lines = ["digraph lattice {", "  rankdir=BT;", "  node [shape=box];"]
@@ -271,13 +263,11 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= b
 
 
-def build_lattice(eps: Sequence[int], cap: int = DEFAULT_CAP) -> NetworkLattice:
-    """Construct the lattice for ``eps`` (neutral points stripped first)."""
+def build_lattice(eps: Sequence[int]) -> NetworkLattice:
+    """Construct the lattice for ``eps`` (neutral points stripped first);
+    ``enumerate_networks`` refuses lengths past its default cap."""
     eps = strip_neutral(check_signature(eps))
-    n = len(eps)
-    if n > cap:
-        raise NetworkError("endpoint-range", f"signature length {n} exceeds cap {cap}")
-    elements = tuple(enumerate_networks(n, eps, cap=cap))
+    elements = tuple(enumerate_networks(len(eps), eps))
     ranks = tuple(net.rank for net in elements)
     labels = sorted(max_network(eps).edges, key=label_key)
     label_rank = {e: r for r, e in enumerate(labels, start=1)}
@@ -397,7 +387,7 @@ def whitney_recurrence(eps: Sequence[int]) -> tuple[int, ...]:
     return _whitney_rec(eps)
 
 
-def boolean_check(eps: Sequence[int], cap: int = DEFAULT_CAP) -> bool:
+def boolean_check(eps: Sequence[int]) -> bool:
     """True iff the fullest network for ``eps`` has no crossing edges.
 
     When true, the lattice must structurally be a Boolean lattice: size
@@ -407,7 +397,7 @@ def boolean_check(eps: Sequence[int], cap: int = DEFAULT_CAP) -> bool:
     top = max_network(eps)
     if forced_edges(top.edges):
         return False
-    lat = build_lattice(eps, cap=cap)
+    lat = build_lattice(eps)
     atoms = len(top.edges)
     if len(lat.elements) != 1 << atoms:
         raise LatticeError(

@@ -144,7 +144,8 @@ class TestAcceptance:
         ex20 = forest.make_forest(
             parse_signature("++-+--"), [(1, 1), (2, 2), (1, 3), (3, 1)]
         )
-        ok = ok and forest.point_count_vs_swap_length(ex20) == (4, 4)
+        ok = ok and ex20.size == 4
+        ok = ok and perm.swap_length(base, forest.leaf_deletion_permutation(ex20)) == 4
         ok = ok and passed(checks.run_suite("forest", bound=6), 2 * SIGNATURES_6)
         report(9, "strand, leaf-deletion and swap-length identities for lengths <= 6", ok)
 
@@ -156,7 +157,7 @@ class TestAcceptance:
         lat = poset.build_lattice(parse_signature("++--"))
         top = lat.idx(network.validate(4, [(1, 3), (2, 3), (2, 4)]))
         ok = lat.mobius_recursive(lat.bottom, top) == 0
-        for z in lat.interval(lat.bottom, top):
+        for z in poset._bits(lat.up_masks[lat.bottom] & lat.down_masks[top]):
             if z != top:
                 want = -1 if lat.ranks[z] % 2 else 1
                 ok = ok and lat.mobius_recursive(lat.bottom, z) == want

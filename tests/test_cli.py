@@ -230,6 +230,29 @@ class TestConfig:
         code, _ = run("--config", str(cfg), "enumerate", "--n", "10")
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("mobius", "--eps", "+++++-----"),
+            ("render", "--format", "dot", "--poset", "+++++-----"),
+            ("verify", "--suite", "forest", "--eps", "+++++----"),
+        ],
+    )
+    def test_lattice_verbs_stop_at_enumeration_cap(self, tmp_path, monkeypatch, argv):
+        """A raised max_eps_len does not reach the lattice verbs: they
+        refuse lengths past the enumeration cap before building."""
+        from permnet import poset
+
+        def build_lattice(eps):
+            raise AssertionError(f"lattice built for length {len(eps)}")
+
+        monkeypatch.setattr(poset, "build_lattice", build_lattice)
+        cfg = tmp_path / "caps.txt"
+        cfg.write_text("max_eps_len=10\n")
+        code, text = run("--config", str(cfg), *argv)
+        assert code == 2
+        assert text == ""
+
 
 class TestMalformedText:
     def test_non_digit_word_exits_invalid(self, capsys):
@@ -259,9 +282,10 @@ class TestVerifyBounds:
             (("--suite", "polyomino", "--bound", "9"), "1..6"),
             (("--suite", "all", "--bound", "9"), "1..6"),
             (("--suite", "all", "--n", "7"), "1..6"),
-            (("--suite", "mobius", "--bound", "9"), "2..6"),
+            (("--suite", "mobius", "--bound", "9"), "2..7"),
             (("--suite", "whitney", "--bound", "9"), "2..8"),
             (("--suite", "el", "--bound", "8"), "2..7"),
+            (("--suite", "mobius", "--bound", "8"), "2..7"),
         ],
     )
     def test_bound_above_suite_maximum_is_usage_error(self, argv, maximum, capsys):

@@ -38,11 +38,13 @@ class TestShape:
         assert forest.young_shape(sig("+0-")) == (1,)
 
     def test_cell_labels(self):
+        """A forest with one mark maps to the network of that cell's edge:
+        the column picks the source in increasing order, the row the sink
+        in decreasing order."""
         eps = sig("++--")
-        assert forest.cell_label(eps, (1, 1)) == (1, 4)
-        assert forest.cell_label(eps, (1, 2)) == (2, 4)
-        assert forest.cell_label(eps, (2, 1)) == (1, 3)
-        assert forest.cell_label(eps, (2, 2)) == (2, 3)
+        for cell, edge in [((1, 1), (1, 4)), ((1, 2), (2, 4)),
+                           ((2, 1), (1, 3)), ((2, 2), (2, 3))]:
+            assert forest.to_network(forest.make_forest(eps, [cell])).edges == {edge}
 
 
 class TestValidation:
@@ -229,21 +231,26 @@ class TestLeafDeletion:
             assert forest.leaf_deletion_permutation(f) == perm.inverse(product)
 
 
+def swap_distance(f):
+    """Swap-graded distance from the base word to f's leaf-deletion word."""
+    base = forest.max_network_permutation(f.eps)
+    return perm.swap_length(base, forest.leaf_deletion_permutation(f))
+
+
 class TestSwapLengthIdentity:
     def test_worked_example(self):
         f = forest.make_forest(sig("++-+--"), [(1, 1), (2, 2), (1, 3), (3, 1)])
         assert forest.leaf_deletion_permutation(f) == perm.identity(6)
-        assert forest.point_count_vs_swap_length(f) == (4, 4)
+        assert (f.size, swap_distance(f)) == (4, 4)
 
     def test_empty(self):
         f = forest.make_forest(sig("++--"), [])
-        assert forest.point_count_vs_swap_length(f) == (0, 0)
+        assert (f.size, swap_distance(f)) == (0, 0)
 
     @pytest.mark.parametrize("eps", ["+-", "++--", "+-+-"])
     def test_all_forests(self, eps):
         for f in forest.enumerate_forests(sig(eps)):
-            points, length = forest.point_count_vs_swap_length(f)
-            assert points == length
+            assert f.size == swap_distance(f)
 
 
 class TestGeneratingFunction:

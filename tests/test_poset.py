@@ -73,6 +73,11 @@ def intervals(lat):
     return [(x, y) for x in range(len(lat.elements)) for y in poset._bits(lat.up_masks[x])]
 
 
+def interval(lat, x, y):
+    """The element indices of [x, y], in rank order."""
+    return list(poset._bits(lat.up_masks[x] & lat.down_masks[y]))
+
+
 @pytest.fixture(scope="module")
 def lat4():
     return build_lattice(sig("++--"))
@@ -83,7 +88,7 @@ class TestConstruction:
         assert len(lat4.elements) == 14
 
     def test_rank_profile(self, lat4):
-        assert lat4.whitney() == (1, 4, 5, 3, 1)
+        assert [lat4.ranks.count(r) for r in range(5)] == [1, 4, 5, 3, 1]
 
     def test_two_point_chain(self):
         lat = build_lattice(sig("+-"))
@@ -274,7 +279,7 @@ class TestCrossingInterval:
         return lat4.idx(validate(4, [(1, 3), (2, 3), (2, 4)]))
 
     def test_interval_size(self, lat4, top):
-        assert len(lat4.interval(lat4.bottom, top)) == 7
+        assert len(interval(lat4, lat4.bottom, top)) == 7
 
     def test_unique_rising_chain(self, lat4, top):
         assert lat4.rising_chains(lat4.bottom, top) == 1
@@ -297,7 +302,7 @@ class TestCrossingInterval:
         assert lat4.mobius_closed(lat4.bottom, top) == 0
 
     def test_mobius_alternates_below_top(self, lat4, top):
-        for z in lat4.interval(lat4.bottom, top):
+        for z in interval(lat4, lat4.bottom, top):
             if z == top:
                 continue
             expected = -1 if lat4.ranks[z] % 2 else 1
@@ -384,14 +389,27 @@ class TestChainsAndMobius:
                 assert sign * mu == lat.decreasing_chain_count(x, y)
 
     def test_closed_form_matches_recursion_length_seven(self):
-        for mask in range(1 << 5):
-            eps = (1,) + tuple(1 if mask >> i & 1 else -1 for i in range(5)) + (-1,)
-            lat = build_lattice(eps)
-            for x in range(len(lat.elements)):
-                for y in poset._bits(lat.up_masks[x]):
-                    mu = lat.mobius_recursive(x, y)
-                    assert mu == lat.mobius_closed(x, y)
-                    assert mu in (-1, 0, 1)
+        results = checks.run_suite("mobius", bound=7)
+        assert len(results) == 63  # signatures of length 2..7
+        assert all(r.passed for r in results)
+
+    def test_recursion_is_not_limited_to_signs(self):
+        """Three atoms, each covered only by one rank-2 element t, give
+        mu(bottom, t) = -(1 - 3) = 2 and two decreasing chains."""
+        lat = build_lattice(sig("++-+--"))
+        t = lat.ranks.index(2)
+        a, b = sorted(lat.elements[t].edges)
+        least = min(lat.label_rank, key=lat.label_rank.get)
+        c = next(e for e in sorted(lat.label_rank) if e not in (a, b, least))
+        atoms = [lat.idx(validate(6, [e])) for e in (a, b, c)]
+        up_adj = [()] * len(lat.elements)
+        up_adj[lat.bottom] = tuple(sorted(zip(atoms, (a, b, c))))
+        # Into t: b after a and a after b (one of the two falls), and the
+        # least label after c (falls).
+        for z, e in zip(atoms, (b, a, least)):
+            up_adj[z] = ((t, e),)
+        broken = with_covers(lat, tuple(up_adj))
+        assert broken.decreasing_chain_count(broken.bottom, t) == 2
 
     @pytest.mark.parametrize("eps", ["++--", "+-+-", "++-+--"])
     def test_el_property_all_intervals(self, eps):
