@@ -304,13 +304,13 @@ def run_suite(
     """
     if suite != "all" and suite not in MAX_N and suite not in MAX_LENGTH:
         raise ValueError(f"unknown suite: {suite}")
-    _check_limit(suite, "--n" if n else "--bound", n or bound, 1, MAX_N)
+    flag, n = ("--bound", bound) if n is None else ("--n", n)
+    _check_limit(suite, flag, n, 1, MAX_N)
     fixed = None
     if eps is None:
         _check_limit(suite, "--bound", bound, 2, MAX_LENGTH)
     else:
         fixed = [network.strip_neutral(network.check_signature(eps))]
-    n = n or bound or 5
     suites = {"bijection": check_bijection, "polyomino": check_polyomino,
               "rothe": check_rothe, "forest": check_forest, "lattice": check_lattice,
               "whitney": check_whitney, "mobius": check_mobius, "el": check_el}
@@ -320,10 +320,10 @@ def run_suite(
         if suite not in (name, "all"):
             continue
         if name in MAX_N:
-            results += check(n)
+            results += check(5 if n is None else n)
             continue
         default = 6 if name == "whitney" else 5
-        for e in fixed or signatures_up_to(bound or default):
+        for e in fixed or signatures_up_to(default if bound is None else bound):
             if name != "whitney":  # whitney's direct count is its own route
                 if e not in lattices:
                     lattices[e] = poset.build_lattice(e)

@@ -54,12 +54,12 @@ def load_config(path: Optional[str]) -> dict[str, int]:
 
 def _parse_eps(text: str, for_poset: bool, out, cap=None) -> network.Signature:
     eps = network.parse_signature(text)
-    if for_poset and any(v == 0 for v in eps):
-        out.write("note: neutral points stripped from signature\n")
-        eps = network.strip_neutral(eps)
-    if cap is not None and len(eps) > cap:
+    stripped = network.strip_neutral(eps) if for_poset else eps
+    if cap is not None and len(stripped) > cap:
         raise CliError("signature exceeds cap", EXIT_USAGE)
-    return eps
+    if stripped != eps:
+        out.write("note: neutral points stripped from signature\n")
+    return stripped
 
 
 def _lattice_cap(caps) -> int:
@@ -88,7 +88,7 @@ def _check_degree(n: int) -> None:
         )
 
 
-def cmd_convert(args, out) -> int:
+def cmd_convert(args, out, caps) -> int:
     """Every source is checked against ``HARD_MAX_CONVERT_N`` once parsed,
     before anything of its degree's size is built or written.  A
     polyomino's degree is only known once its permutation or edges are
@@ -113,15 +113,13 @@ def cmd_convert(args, out) -> int:
         n = max((j for _, j in edges), default=0)
         _check_degree(n)
         net = network.validate(n, edges)
-    elif src == "forest":
+    else:
         f = forest.forest_from_json(value)
         _check_degree(len(f.eps))
         if dst == "perm":
             out.write(perm.format_word(forest.strand_permutation(f)) + "\n")
             return EXIT_OK
         net = forest.to_network(f)
-    else:
-        raise CliError(f"unknown source {src}", EXIT_USAGE)
 
     if dst == "network":
         out.write(network.format_network(net) + "\n")
@@ -130,17 +128,15 @@ def cmd_convert(args, out) -> int:
     elif dst == "forest":
         eps = _forest_eps(args, net, out)
         out.write(forest.forest_to_json(forest.from_network(net, eps)) + "\n")
-    elif dst == "polyomino":
+    else:
         word = perm.inverse(network.to_permutation(net))
         poly = diagram.rothe_diagram(word)
         out.write(diagram.polyomino_to_json(poly) + "\n")
-    else:
-        raise CliError(f"unknown target {dst}", EXIT_USAGE)
     return EXIT_OK
 
 
 def cmd_enumerate(args, out, caps) -> int:
-    if args.eps:
+    if args.eps is not None:
         eps = _parse_eps(args.eps, False, out)
         n = len(eps)
     else:
@@ -148,6 +144,8 @@ def cmd_enumerate(args, out, caps) -> int:
         n = args.n
     if n is None:
         raise CliError("enumerate needs --n or --eps", EXIT_USAGE)
+    if n < 0:
+        raise CliError(f"n={n} is negative", EXIT_USAGE)
     if n > caps["max_n"]:
         raise CliError(f"n={n} exceeds cap {caps['max_n']}", EXIT_USAGE)
     nets = network.enumerate_networks(n, eps, cap=caps["max_n"])
@@ -158,7 +156,7 @@ def cmd_enumerate(args, out, caps) -> int:
 
 
 def cmd_verify(args, out, caps) -> int:
-    eps = network.parse_signature(args.eps) if args.eps else None
+    eps = None if args.eps is None else network.parse_signature(args.eps)
     if eps is not None and len(network.strip_neutral(eps)) > _lattice_cap(caps):
         raise CliError("signature exceeds cap", EXIT_USAGE)
     try:
@@ -174,7 +172,7 @@ def cmd_verify(args, out, caps) -> int:
 
 def cmd_whitney(args, out, caps) -> int:
     eps = _parse_eps(args.eps, True, out, caps["max_eps_len"])
-    coeffs = poset.whitney_direct(eps, cap=caps["max_eps_len"])
+    coeffs = poset.whitney_direct(eps)
     rec = poset.whitney_recurrence(eps)
     if coeffs != rec:
         out.write("FAIL recurrence disagrees with direct count\n")
@@ -240,6 +238,10 @@ def cmd_render(args, out, caps) -> int:
     raise CliError("render needs one of --poset/--network/--polyomino/--forest", EXIT_USAGE)
 
 
+VERBS = {"convert": cmd_convert, "enumerate": cmd_enumerate, "verify": cmd_verify,
+         "whitney": cmd_whitney, "mobius": cmd_mobius, "render": cmd_render}
+
+
 @functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on first use and then kept for the life
@@ -296,19 +298,7 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         caps = load_config(args.config)
-        if args.verb == "convert":
-            return cmd_convert(args, out)
-        if args.verb == "enumerate":
-            return cmd_enumerate(args, out, caps)
-        if args.verb == "verify":
-            return cmd_verify(args, out, caps)
-        if args.verb == "whitney":
-            return cmd_whitney(args, out, caps)
-        if args.verb == "mobius":
-            return cmd_mobius(args, out, caps)
-        if args.verb == "render":
-            return cmd_render(args, out, caps)
-        raise CliError(f"unknown verb {args.verb}", EXIT_USAGE)
+        return VERBS[args.verb](args, out, caps)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code

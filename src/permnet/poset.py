@@ -26,12 +26,10 @@ from operator import and_
 from typing import Iterator, Optional, Sequence, Union
 
 from .network import (
-    DEFAULT_CAP,
     Edge,
     Network,
     Signature,
     check_signature,
-    compatible,
     enumerate_networks,
     forced_edges,
     format_signature,
@@ -336,23 +334,31 @@ def poly_format(coeffs: Sequence[int]) -> str:
     return " + ".join(terms) if terms else "0"
 
 
-def whitney_direct(
-    eps: Sequence[int],
-    cap: int = DEFAULT_CAP,
-    networks: Optional[Sequence[Network]] = None,
-) -> tuple[int, ...]:
-    """Rank counts of the network lattice, by direct enumeration.
-
-    ``networks`` may hold a pre-enumerated pool for the same point count
-    (it is filtered by signature compatibility here).
+def whitney_direct(eps: Sequence[int]) -> tuple[int, ...]:
+    """Rank counts of the network lattice, from the definition: the
+    networks fitting ``eps`` are the subsets of the fullest network's edges
+    to which ``forced_edges`` adds nothing.  A depth-first walk decides the
+    edges sink descending, then source ascending.  (j, k) is forced by a
+    pair (i, k), (j, l) with i < j < k < l, and both come earlier in that
+    order, so the chosen edges already tell whether (j, k) is forced.  A
+    forced edge is taken, any other is branched on; each leaf is a network.
     """
     eps = strip_neutral(check_signature(eps))
-    if networks is None:
-        nets = enumerate_networks(len(eps), eps, cap=cap)
-    else:
-        nets = [net for net in networks if compatible(net, eps)]
-    ranks = [net.rank for net in nets]
-    return tuple(ranks.count(r) for r in range(max(ranks, default=0) + 1))
+    edges = sorted(max_network(eps).edges, key=lambda e: (-e[1], e[0]))
+    counts = [0] * (len(edges) + 1)
+
+    def walk(i: int, chosen: list[Edge]) -> None:
+        if i == len(edges):
+            counts[len(chosen)] += 1
+            return
+        if edges[i] not in forced_edges(chosen):
+            walk(i + 1, chosen)
+        chosen.append(edges[i])
+        walk(i + 1, chosen)
+        chosen.pop()
+
+    walk(0, [])
+    return tuple(counts)
 
 
 @lru_cache(maxsize=None)

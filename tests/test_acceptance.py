@@ -38,17 +38,8 @@ def bijection():
 
 
 @pytest.fixture(scope="module")
-def pool8():
-    return network.enumerate_networks(8)
-
-
-@pytest.fixture(scope="module")
-def direct8(pool8):
-    """Direct Whitney counts for every signature of length <= 8."""
-    return {
-        eps: poset.whitney_direct(eps, networks=pool8 if len(eps) == 8 else None)
-        for eps in checks.signatures_up_to(8)
-    }
+def whitney8():
+    return checks.run_suite("whitney", bound=8)
 
 
 @pytest.fixture(scope="module")
@@ -114,19 +105,14 @@ class TestAcceptance:
         sizes = sorted(s for _run, s in diagram.maximal_dyck_tiling(ribbon))
         report(6, "worked ribbon tiles into sizes {0,0,0,1,2}", sizes == [0, 0, 0, 1, 2])
 
-    def test_07_whitney_triple(self, direct8):
+    def test_07_whitney_triple(self, whitney8):
         golden = poset.whitney_recurrence(parse_signature("++---"))
-        ok = golden == (1, 6, 12, 13, 9, 4, 1) and len(direct8) == SIGNATURES_8
-        ok = ok and all(
-            direct == poset.whitney_recurrence(eps) == forest.generating_function(eps)
-            for eps, direct in direct8.items()
-        )
+        ok = golden == (1, 6, 12, 13, 9, 4, 1)
+        ok = ok and passed([r for r in whitney8 if r.name == "whitney-triple"], SIGNATURES_8)
         report(7, "direct, recurrence and forest counts agree for lengths <= 8", ok)
 
-    def test_08_even_odd_balance(self, direct8):
-        ok = len(direct8) == SIGNATURES_8 and all(
-            sum(direct[0::2]) == sum(direct[1::2]) for direct in direct8.values()
-        )
+    def test_08_even_odd_balance(self, whitney8):
+        ok = passed([r for r in whitney8 if r.name == "even-odd-balance"], SIGNATURES_8)
         report(8, "even and odd rank counts balance for lengths <= 8", ok)
 
     def test_09_forest_suite(self):

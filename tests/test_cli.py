@@ -95,10 +95,12 @@ class TestEnumerate:
         code, text = run("enumerate", "--eps", "++--")
         assert code == 0
         assert text.strip().splitlines()[-1] == "total=14"
+        assert run("enumerate", "--eps", "") == (0, "n=0; edges=\ntotal=1\n")
 
     def test_cap(self):
         code, _ = run("enumerate", "--n", "12")
         assert code == 2
+        assert run("enumerate", "--n", "-1") == (2, "")
 
 
 class TestVerify:
@@ -126,26 +128,21 @@ class TestVerify:
         from permnet import network, poset
 
         built, enumerated = [], []
-        original = poset.build_lattice
-        original_enumerate = network.enumerate_networks
-
-        def build_lattice(eps):
-            built.append(eps)
-            return original(eps)
+        build, scan = poset.build_lattice, network.enumerate_networks
 
         def enumerate_networks(*args, **kwargs):
             enumerated.append(args)
-            return original_enumerate(*args, **kwargs)
+            return scan(*args, **kwargs)
 
-        monkeypatch.setattr(poset, "build_lattice", build_lattice)
+        monkeypatch.setattr(poset, "build_lattice", lambda eps: built.append(eps) or build(eps))
         monkeypatch.setattr(poset, "enumerate_networks", enumerate_networks)
         monkeypatch.setattr(network, "enumerate_networks", enumerate_networks)
         code, text = run("verify", "--suite", "all", "--bound", "4")
         assert code == 0
         assert "FAIL" not in text
         assert len(built) == len(set(built)) == 7  # signatures of length 2..4
-        # One scan per lattice and one per direct Whitney count.
-        assert len(enumerated) == 14
+        # One scan per lattice; the direct Whitney count scans no words.
+        assert len(enumerated) == 7
 
 
 class TestReports:
@@ -166,6 +163,8 @@ class TestReports:
         assert code == 0
         assert "elements=14" in text
         assert "mobius(bottom, top)=" in text
+        code, text = run("mobius", "--eps", "+0+-")
+        assert (code, text.split("\n")[0]) == (0, "note: neutral points stripped from signature")
 
 
 class TestRender:
@@ -236,6 +235,7 @@ class TestConfig:
             ("mobius", "--eps", "+++++-----"),
             ("render", "--format", "dot", "--poset", "+++++-----"),
             ("verify", "--suite", "forest", "--eps", "+++++----"),
+            ("mobius", "--eps", "+0++++-----"),  # the note waits for the cap test
         ],
     )
     def test_lattice_verbs_stop_at_enumeration_cap(self, tmp_path, monkeypatch, argv):
@@ -286,6 +286,8 @@ class TestVerifyBounds:
             (("--suite", "whitney", "--bound", "9"), "2..8"),
             (("--suite", "el", "--bound", "8"), "2..7"),
             (("--suite", "mobius", "--bound", "8"), "2..7"),
+            (("--suite", "bijection", "--n", "0"), "1..7"),
+            (("--suite", "all", "--n", "0"), "1..6"),
         ],
     )
     def test_bound_above_suite_maximum_is_usage_error(self, argv, maximum, capsys):
@@ -293,6 +295,11 @@ class TestVerifyBounds:
         assert code == 2
         assert text == ""
         assert maximum in capsys.readouterr().err
+
+    def test_empty_signature_is_run_not_defaulted(self):
+        code, text = run("verify", "--suite", "forest", "--eps", "")
+        assert code == 0
+        assert [line[:5] for line in text.splitlines()] == ["PASS "] * 2
 
     def test_signature_length_below_two_is_usage_error(self):
         code, text = run("verify", "--suite", "lattice", "--bound", "1")

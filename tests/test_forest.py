@@ -102,35 +102,26 @@ class TestNetworkBijection:
         with pytest.raises(network.NetworkError):
             forest.from_network(net, sig("++--"))
 
+    @staticmethod
+    def assert_round_trip(e):
+        """Every forest of ``e`` survives forest -> network -> forest, and
+        the images are exactly the networks of ``e``, one per forest."""
+        forests = forest.enumerate_forests(e)
+        images = [forest.to_network(f) for f in forests]
+        assert all(forest.from_network(net, e) == f for f, net in zip(forests, images))
+        assert len(set(images)) == len(forests)
+        assert set(images) == set(network.enumerate_networks(len(e), e))
+
     @pytest.mark.parametrize("eps", ["++--", "+-+-", "+++---", "++-+--", "+--+--"])
     def test_round_trip_bijection(self, eps):
-        e = sig(eps)
-        forests = forest.enumerate_forests(e)
-        nets = network.enumerate_networks(len(e), e)
-        assert len(forests) == len(nets)
-        images = set()
-        for f in forests:
-            net = forest.to_network(f)
-            assert forest.from_network(net, e) == f
-            images.add(net)
-        assert images == set(nets)
+        self.assert_round_trip(sig(eps))
 
     def test_round_trip_bijection_wide(self):
         """Exhaustive over every length-7 signature, plus the two largest
         length-8 shapes."""
-        sigs = []
-        for mask in range(1 << 5):
-            sigs.append((1,) + tuple(1 if mask >> i & 1 else -1 for i in range(5)) + (-1,))
-        sigs += [sig("++++----"), sig("+-+-+-+-")]
-        for e in sigs:
-            forests = forest.enumerate_forests(e)
-            nets = set(network.enumerate_networks(len(e), e))
-            images = set()
-            for f in forests:
-                net = forest.to_network(f)
-                assert forest.from_network(net, e) == f
-                images.add(net)
-            assert images == nets
+        sigs = [e for e in checks.signatures_up_to(7) if len(e) == 7]
+        for e in sigs + [sig("++++----"), sig("+-+-+-+-")]:
+            self.assert_round_trip(e)
 
     def test_edge_count_is_points_plus_crossings(self):
         for f in forest.enumerate_forests(sig("++-+--")):

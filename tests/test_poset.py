@@ -199,15 +199,35 @@ class TestWhitney:
             sig("++--")
         )
 
-    @pytest.mark.parametrize("length", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("length", [2, 3, 4, 5, 6, 7])
     def test_triple_agreement(self, length):
-        for mask in range(1 << (length - 2)):
-            eps = (1,) + tuple(
-                1 if mask >> i & 1 else -1 for i in range(length - 2)
-            ) + (-1,)
+        """Direct count, recurrence, forests and the definition: each subset
+        of the fullest network's edges closed under forcing is a network."""
+        for eps in [e for e in checks.signatures_up_to(length) if len(e) == length]:
+            edges = sorted(network.max_network(eps).edges)
+            subsets = [[e for b, e in enumerate(edges) if m >> b & 1]
+                       for m in range(1 << len(edges))]
+            sizes = [len(s) for s in subsets if forced_edges(s) <= set(s)]
             direct = poset.whitney_direct(eps)
+            assert direct == tuple(sizes.count(r) for r in range(len(edges) + 1))
             assert direct == poset.whitney_recurrence(eps)
             assert direct == forest.generating_function(eps)
+
+    def test_word_scan_matches_direct_count_length_eight(self):
+        # A shorter signature's networks are those on 8 points inside its top.
+        nets = network.enumerate_networks(8)
+        for eps in checks.signatures_up_to(8):
+            top = network.max_network(eps).edges
+            ranks = [net.rank for net in nets if net.edges <= top]
+            assert poset.whitney_direct(eps) == tuple(ranks.count(r) for r in range(len(top) + 1))
+
+    def test_direct_count_peels_no_words_past_length_eight(self, monkeypatch):
+        calls, original = [], network.from_permutation
+        monkeypatch.setattr(network, "from_permutation", lambda w: calls.append(w) or original(w))
+        assert sum(poset.whitney_direct(sig("++++----"))) == 6902
+        eps = sig("++++-----")
+        assert poset.whitney_direct(eps) == poset.whitney_recurrence(eps)
+        assert calls == []
 
     def test_poly_format(self):
         assert poset.poly_format((1, 6, 12)) == "1 + 6 q + 12 q^2"
@@ -380,13 +400,12 @@ class TestChainsAndMobius:
     @pytest.mark.parametrize("eps", ["++--", "+-+-", "++-+--", "+++---"])
     def test_closed_form_matches_recursion(self, eps):
         lat = build_lattice(sig(eps))
-        for x in range(len(lat.elements)):
-            for y in poset._bits(lat.up_masks[x]):
-                mu = lat.mobius_recursive(x, y)
-                assert mu == lat.mobius_closed(x, y)
-                assert mu in (-1, 0, 1)
-                sign = -1 if (lat.ranks[y] - lat.ranks[x]) % 2 else 1
-                assert sign * mu == lat.decreasing_chain_count(x, y)
+        for x, y in intervals(lat):
+            mu = lat.mobius_recursive(x, y)
+            assert mu == lat.mobius_closed(x, y)
+            assert mu in (-1, 0, 1)
+            sign = -1 if (lat.ranks[y] - lat.ranks[x]) % 2 else 1
+            assert sign * mu == lat.decreasing_chain_count(x, y)
 
     def test_closed_form_matches_recursion_length_seven(self):
         results = checks.run_suite("mobius", bound=7)
@@ -414,11 +433,10 @@ class TestChainsAndMobius:
     @pytest.mark.parametrize("eps", ["++--", "+-+-", "++-+--"])
     def test_el_property_all_intervals(self, eps):
         lat = build_lattice(sig(eps))
-        for x in range(len(lat.elements)):
-            for y in poset._bits(lat.up_masks[x]):
-                assert lat.rising_chains(x, y) == 1
-                assert rises(chain_word(lat, lat.lex_least_chain(x, y)))
-                assert lat.snelling_check(x, y)
+        for x, y in intervals(lat):
+            assert lat.rising_chains(x, y) == 1
+            assert rises(chain_word(lat, lat.lex_least_chain(x, y)))
+            assert lat.snelling_check(x, y)
 
     @pytest.mark.parametrize("eps", ["++--", "+-+-", "++-+--", "+++---"])
     def test_chain_pass_matches_chain_oracle(self, eps):
