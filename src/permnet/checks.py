@@ -300,10 +300,15 @@ def run_suite(
     """Run one named suite; ``all`` runs everything at desk-scale bounds.
 
     ``bound`` caps the signature length and stands in for a missing ``n``;
-    one the suite does not run raises BoundError rather than shrinking.
+    one the suite does not run raises BoundError rather than shrinking,
+    and so does ``n`` for a signature suite or ``eps`` for a degree suite.
     """
     if suite != "all" and suite not in MAX_N and suite not in MAX_LENGTH:
         raise ValueError(f"unknown suite: {suite}")
+    if n is not None and suite in MAX_LENGTH:
+        raise BoundError(f"--n does not apply to suite {suite}; use --bound or --eps")
+    if eps is not None and suite in MAX_N:
+        raise BoundError(f"--eps does not apply to suite {suite}; use --n")
     flag, n = ("--bound", bound) if n is None else ("--n", n)
     _check_limit(suite, flag, n, 1, MAX_N)
     fixed = None

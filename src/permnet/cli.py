@@ -136,6 +136,8 @@ def cmd_convert(args, out, caps) -> int:
 
 
 def cmd_enumerate(args, out, caps) -> int:
+    if args.n is not None and args.eps is not None:
+        raise CliError("enumerate takes --n or --eps, not both", EXIT_USAGE)
     if args.eps is not None:
         eps = _parse_eps(args.eps, False, out)
         n = len(eps)
@@ -199,7 +201,7 @@ def cmd_mobius(args, out, caps) -> int:
 
 
 def cmd_render(args, out, caps) -> int:
-    if args.poset:
+    if args.poset is not None:
         eps = _parse_eps(args.poset, True, out, _lattice_cap(caps))
         lat = poset.build_lattice(eps)
         if args.format == "dot":
@@ -208,7 +210,7 @@ def cmd_render(args, out, caps) -> int:
             for i, net in enumerate(lat.elements):
                 out.write(f"{i} rank={lat.ranks[i]} {network.format_network(net)}\n")
         return EXIT_OK
-    if args.network:
+    if args.network is not None:
         net = network.parse_network(args.network)
         if args.format == "json":
             out.write(network.network_to_json(net) + "\n")
@@ -218,7 +220,7 @@ def cmd_render(args, out, caps) -> int:
             out.write(" ".join(marks[v] for v in sig) + "\n")
             out.write(network.format_network(net) + "\n")
         return EXIT_OK
-    if args.polyomino:
+    if args.polyomino is not None:
         poly = diagram.polyomino_from_json(args.polyomino)
         lp = diagram.label_polyomino(poly) if poly.cells else None
         if args.format == "json":
@@ -228,7 +230,7 @@ def cmd_render(args, out, caps) -> int:
         else:
             out.write(diagram.render_polyomino(poly, lp) + "\n")
         return EXIT_OK
-    if args.forest:
+    if args.forest is not None:
         f = forest.forest_from_json(args.forest)
         if args.format == "json":
             out.write(forest.forest_to_json(f) + "\n")

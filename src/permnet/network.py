@@ -3,9 +3,11 @@
 A network is a duplicate-free set of directed edges (i, j) with i < j
 such that no point is simultaneously a source and a sink, closed under
 crossing completion: if (i, k) and (j, l) are present with i < j < k < l
-then (j, k) must be present too.  ``forced_edges`` is the one crossing
-test: validation, the Mobius closed form and forest inversion call it,
-and the lattice join's per-edge forcing table is derived from it.
+then (j, k) must be present too.  ``forced_edges`` and its private
+helper ``_crossings`` are the one crossing test: the Mobius closed
+form, the direct Whitney count and forest inversion call
+``forced_edges``, the lattice join's forcing table is derived from it,
+and validation calls ``_crossings`` on the tables of its one pass.
 
 Networks biject with permutations: ``to_permutation`` multiplies the
 edges out as position transpositions in the canonical (size, leftmost)
@@ -53,6 +55,12 @@ def forced_edges(edges: Iterable[Edge]) -> set[Edge]:
             minsrc[j] = i
         if j > maxsnk.get(i, i):
             maxsnk[i] = j
+    return _crossings(minsrc, maxsnk)
+
+
+def _crossings(minsrc: dict[int, int], maxsnk: dict[int, int]) -> set[Edge]:
+    """The crossing test on ``forced_edges``' tables: smallest source into
+    each sink, largest sink out of each source."""
     return {
         (j, k)
         for k, lo in minsrc.items()
@@ -78,29 +86,40 @@ def completion_violation(edges: Iterable[Edge]) -> Optional[tuple[Edge, Edge]]:
 
 @dataclass(frozen=True, slots=True)
 class Network:
-    """n points plus a crossing-complete edge set; validates on build."""
+    """n points plus a crossing-complete edge set; validates on build.
+
+    Validation is one pass over the edges that tests range and direction
+    and fills the tables of ``_crossings``, still the one crossing test.
+    Their key sets (sinks, sources) give the overlap test, and completion
+    is one subset test; only a failure calls ``completion_violation``.
+    """
 
     n: int
     edges: frozenset[Edge] = field(default_factory=frozenset)
 
     def __post_init__(self):
-        object.__setattr__(self, "edges", frozenset(self.edges))
+        edges = self.edges
+        if not isinstance(edges, frozenset):
+            edges = frozenset(edges)
+            object.__setattr__(self, "edges", edges)
         n = self.n
-        for e in self.edges:
+        minsrc: dict[int, int] = {}
+        maxsnk: dict[int, int] = {}
+        for e in edges:
             i, j = e
             if not 1 <= i < j <= n:
                 if 1 <= i <= n and 1 <= j <= n:
                     raise NetworkError(ERR_DIRECTION, f"edge {e} must have src < dst", e)
                 raise NetworkError(ERR_RANGE, f"edge {e} out of range 1..{n}", e)
-        srcs = {i for i, _ in self.edges}
-        dsts = {j for _, j in self.edges}
-        if not srcs.isdisjoint(dsts):
-            p = min(srcs & dsts)
-            raise NetworkError(
-                ERR_OVERLAP, f"point {p} is both a source and a sink", p
-            )
-        bad = completion_violation(self.edges)
-        if bad is not None:
+            if i < minsrc.get(j, j):
+                minsrc[j] = i
+            if j > maxsnk.get(i, i):
+                maxsnk[i] = j
+        if not minsrc.keys().isdisjoint(maxsnk):
+            p = min(minsrc.keys() & maxsnk.keys())
+            raise NetworkError(ERR_OVERLAP, f"point {p} is both a source and a sink", p)
+        if not _crossings(minsrc, maxsnk) <= edges:
+            bad = completion_violation(edges)
             (i, k), (j, l) = bad
             raise NetworkError(
                 ERR_COMPLETION,
@@ -122,8 +141,11 @@ class Network:
 
 
 def validate(n: int, edges: Iterable[Edge]) -> Network:
-    """Build a network, raising NetworkError with a distinct code otherwise."""
-    return Network(n=n, edges=frozenset(map(tuple, edges)))
+    """Build a network, raising NetworkError with a distinct code otherwise.
+    A frozenset is used as given."""
+    if not isinstance(edges, frozenset):
+        edges = frozenset(map(tuple, edges))
+    return Network(n=n, edges=edges)
 
 
 def edge_order(net: Network) -> tuple[Edge, ...]:
@@ -164,7 +186,7 @@ def from_permutation(word: Sequence[int]) -> Network:
             edges.append((k + 1, m))
             w[k], t = t, w[k]
         w[m - 1] = m
-    return validate(n, edges)
+    return validate(n, frozenset(edges))
 
 
 def signature_of(net: Network) -> Signature:

@@ -102,6 +102,11 @@ class TestEnumerate:
         assert code == 2
         assert run("enumerate", "--n", "-1") == (2, "")
 
+    def test_both_n_and_signature_is_usage_error(self, capsys):
+        assert run("enumerate", "--n", "3", "--eps", "+-") == (2, "")
+        err = capsys.readouterr().err
+        assert "--n" in err and "--eps" in err
+
 
 class TestVerify:
     def test_bijection_suite_passes(self):
@@ -190,6 +195,17 @@ class TestRender:
         code, text = run("render", "--polyomino", value)
         assert code == 0
         assert text.count("##") == 3
+
+    def test_empty_poset_is_the_one_element_lattice(self):
+        assert run("render", "--poset", "") == (0, "0 rank=0 n=0; edges=\n")
+        code, text = run("render", "--poset", "", "--format", "dot")
+        assert code == 0
+        assert 'n0 [label="empty"];' in text
+
+    @pytest.mark.parametrize("source", ["--network", "--polyomino", "--forest"])
+    def test_empty_object_reaches_its_parser(self, source, capsys):
+        assert run("render", source, "") == (3, "")
+        assert "cannot parse" in capsys.readouterr().err
 
     def test_polyomino_cell_dump(self):
         value = json.dumps({"cells": [[1, 1]]})
@@ -288,6 +304,10 @@ class TestVerifyBounds:
             (("--suite", "mobius", "--bound", "8"), "2..7"),
             (("--suite", "bijection", "--n", "0"), "1..7"),
             (("--suite", "all", "--n", "0"), "1..6"),
+            *[(("--suite", suite, "--n", "3"), "--n")
+              for suite in ("forest", "lattice", "whitney", "mobius", "el")],
+            *[(("--suite", suite, "--eps", "+-"), "--eps")
+              for suite in ("bijection", "polyomino", "rothe")],
         ],
     )
     def test_bound_above_suite_maximum_is_usage_error(self, argv, maximum, capsys):
@@ -295,6 +315,13 @@ class TestVerifyBounds:
         assert code == 2
         assert text == ""
         assert maximum in capsys.readouterr().err
+
+    def test_all_takes_degree_and_signature(self):
+        code, text = run("verify", "--suite", "all", "--n", "3", "--eps", "+-")
+        assert code == 0
+        assert "words of degree 3" in text
+        assert "2 forests" in text
+        assert all(line.startswith("PASS ") for line in text.splitlines())
 
     def test_empty_signature_is_run_not_defaulted(self):
         code, text = run("verify", "--suite", "forest", "--eps", "")

@@ -309,6 +309,82 @@ def test_completion_violation_witness_matches_pair_scan(edges):
     assert network.completion_violation(edges) == reference_violation(edges)
 
 
+# -- the one-pass validator against the three-pass definition ---------------
+
+
+def reference_validate(n, edges):
+    """Oracle: the three passes of the definition, in order: range and
+    direction, source/sink overlap, then crossing completion, whose witness
+    comes from the pair scan.  Returns None or (code, message, witness)."""
+    eset = frozenset(map(tuple, edges))
+    for e in eset:
+        i, j = e
+        if not 1 <= i < j <= n:
+            if 1 <= i <= n and 1 <= j <= n:
+                return ERR_DIRECTION, f"edge {e} must have src < dst", e
+            return ERR_RANGE, f"edge {e} out of range 1..{n}", e
+    both = {i for i, _ in eset} & {j for _, j in eset}
+    if both:
+        p = min(both)
+        return ERR_OVERLAP, f"point {p} is both a source and a sink", p
+    bad = reference_violation(eset)
+    if bad is not None:
+        (i, k), (j, l) = bad
+        return ERR_COMPLETION, f"edges {(i, k)} and {(j, l)} cross but {(j, k)} is missing", bad
+    return None
+
+
+def reference_peel(word):
+    """Oracle: the edges of ``from_permutation`` by its definition, with a
+    fresh scan for each exchange partner."""
+    w = list(word)
+    edges = set()
+    for m in range(len(w), 0, -1):
+        while w[m - 1] != m:
+            t = w[m - 1]
+            k = next(k for k in range(m) if w[k] > t)
+            edges.add((k + 1, m))
+            w[k], w[m - 1] = t, w[k]
+    return edges
+
+
+def outcome(n, edges):
+    try:
+        network.validate(n, edges)
+    except NetworkError as exc:
+        return exc.code, str(exc), exc.witness
+    return None
+
+
+# Any endpoints, so reversed, loop and out-of-range edges; and forward edges
+# in range only, which reach the overlap and completion tests.
+raw_edge_lists = st.integers(min_value=0, max_value=8).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        st.lists(st.tuples(st.integers(-1, n + 2), st.integers(-1, n + 2)), max_size=12),
+    )
+)
+forward_edge_lists = st.integers(min_value=2, max_value=8).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        st.lists(st.sampled_from(list(combinations(range(1, n + 1), 2))), max_size=12),
+    )
+)
+
+
+@given(st.one_of(raw_edge_lists, forward_edge_lists))
+def test_validate_matches_three_pass_definition(case):
+    n, edges = case
+    assert outcome(n, list(edges)) == reference_validate(n, edges)
+
+
+def test_from_permutation_matches_reference_peel_at_degree_7():
+    for word in permutations(range(1, 8)):
+        edges = reference_peel(word)
+        assert reference_validate(7, edges) is None
+        assert network.from_permutation(word).edges == edges
+
+
 def test_dense_word_round_trip_at_degree_400():
     n, h = 400, 200
     word = tuple(range(h + 1, n + 1)) + tuple(range(1, h + 1))
