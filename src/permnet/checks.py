@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import permutations as all_words
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
 
 from . import diagram, forest, network, perm, poset
 
@@ -294,7 +294,7 @@ def _check_limit(suite: str, flag: str, value: Optional[int], low: int, table) -
 def run_suite(
     suite: str,
     n: Optional[int] = None,
-    eps: Optional[Sequence[int]] = None,
+    eps: Union[str, Sequence[int], None] = None,
     bound: Optional[int] = None,
 ) -> list[CheckResult]:
     """Run one named suite; ``all`` runs everything at desk-scale bounds.
@@ -302,6 +302,9 @@ def run_suite(
     ``bound`` caps the signature length and stands in for a missing ``n``;
     one the suite does not run raises BoundError rather than shrinking,
     and so does ``n`` for a signature suite or ``eps`` for a degree suite.
+    ``eps`` may be signature text, parsed only once the suite takes it.
+    The forest suite needs a signature that ends with a sink, so any
+    other raises BoundError before a suite runs.
     """
     if suite != "all" and suite not in MAX_N and suite not in MAX_LENGTH:
         raise ValueError(f"unknown suite: {suite}")
@@ -315,7 +318,13 @@ def run_suite(
     if eps is None:
         _check_limit(suite, "--bound", bound, 2, MAX_LENGTH)
     else:
-        fixed = [network.strip_neutral(network.check_signature(eps))]
+        if isinstance(eps, str):
+            eps = network.parse_signature(eps)
+        eps = network.strip_neutral(network.check_signature(eps))
+        if suite in ("forest", "all") and eps and eps[-1] == 1:
+            raise BoundError("the forest suite needs a signature that ends with a sink, "
+                             f"not {network.format_signature(eps)}")
+        fixed = [eps]
     suites = {"bijection": check_bijection, "polyomino": check_polyomino,
               "rothe": check_rothe, "forest": check_forest, "lattice": check_lattice,
               "whitney": check_whitney, "mobius": check_mobius, "el": check_el}

@@ -158,9 +158,15 @@ def cmd_enumerate(args, out, caps) -> int:
 
 
 def cmd_verify(args, out, caps) -> int:
-    eps = None if args.eps is None else network.parse_signature(args.eps)
-    if eps is not None and len(network.strip_neutral(eps)) > _lattice_cap(caps):
-        raise CliError("signature exceeds cap", EXIT_USAGE)
+    eps = args.eps
+    if eps is not None:
+        try:
+            eps = network.parse_signature(eps)
+        except network.NetworkError:
+            pass  # run_suite parses the text again once it knows the suite takes --eps
+        else:
+            if len(network.strip_neutral(eps)) > _lattice_cap(caps):
+                raise CliError("signature exceeds cap", EXIT_USAGE)
     try:
         results = checks.run_suite(args.suite, n=args.n, eps=eps, bound=args.bound)
     except checks.BoundError as exc:

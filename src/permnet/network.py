@@ -4,10 +4,11 @@ A network is a duplicate-free set of directed edges (i, j) with i < j
 such that no point is simultaneously a source and a sink, closed under
 crossing completion: if (i, k) and (j, l) are present with i < j < k < l
 then (j, k) must be present too.  ``forced_edges`` and its private
-helper ``_crossings`` are the one crossing test: the Mobius closed
-form, the direct Whitney count and forest inversion call
-``forced_edges``, the lattice join's forcing table is derived from it,
-and validation calls ``_crossings`` on the tables of its one pass.
+helper ``_crossings`` are the one crossing test: forest inversion calls
+``forced_edges``, the one forcing table per signature that serves the
+lattice join, the Mobius closed form and the direct Whitney count is
+built from it, and validation calls ``_crossings`` on the tables of its
+one pass.
 
 Networks biject with permutations: ``to_permutation`` multiplies the
 edges out as position transpositions in the canonical (size, leftmost)

@@ -4,17 +4,19 @@ Elements are ordered by edge-set inclusion and ranked by edge count.
 Edges are totally ordered by ``network.label_key`` (sink, then source
 descending); edge number r in that order is bit r - 1 of an element's
 int edge mask, and ``mask_index`` maps each mask back to its element.
-Covers are the masks one bit apart, labeled by their new edge.  Meet is
-``&`` of the masks; join is ``|`` closed by a per-edge forcing table
-derived from ``network.forced_edges``.  One cached row per bottom x,
+Covers are the masks one bit apart, labeled by their new edge; meet is
+``&``.  One forcing table per signature, from ``forced_edges`` on pairs
+of the fullest network's edges, holds per edge bit the masks ``into``
+and ``out`` that force it.  It serves the join (``|`` closed under the
+table), the Mobius closed form (mu(x, y) is 0 unless x holds every edge
+the table forces in y, else (-1) to the rank difference) and the direct
+Whitney count, a walk over int masks.  One cached row per bottom x,
 walked once over up(x) in rank order, holds for every y above x the
 Mobius value mu(x, y) by the recursion on the order masks, the rising
-and decreasing chain counts, and the lex-least chain of [x, y].  The
-closed form reads masks too: mu(x, y) is 0 unless x holds every edge
-forced in y (one forced-edge mask per element), else (-1) to the rank
-difference.  With a Snelling check (every cover adds its label's edge,
-and the order is inclusion) these give the EL route and three
-independent Mobius routes: recursion, closed form and decreasing chains.
+and decreasing chain counts, and the lex-least chain of [x, y].  With a
+Snelling check (every cover adds its label's edge, and the order is
+inclusion) these give the EL route and three independent Mobius routes:
+recursion, closed form and decreasing chains.
 """
 
 from __future__ import annotations
@@ -65,9 +67,8 @@ class NetworkLattice:
     mask_index: dict[int, int]
     up_masks: tuple[int, ...] = field(repr=False, default=())
     down_masks: tuple[int, ...] = field(repr=False, default=())
-    _forcing: Optional[tuple[tuple[int, int, int], ...]] = _cache()
+    _forced_by: tuple[tuple[int, int, int], ...] = field(repr=False, default=())
     _snelling: Optional[bool] = _cache()
-    _forced_masks: Optional[tuple[int, ...]] = _cache()
     _row_last: Optional[tuple[int, tuple[dict, dict, dict, dict]]] = _cache()
 
     # -- element addressing --
@@ -99,26 +100,19 @@ class NetworkLattice:
             edges = sorted(e for e, r in self.label_rank.items() if mask >> r - 1 & 1)
             raise LatticeError(f"{op} left the lattice: {edges}") from None
 
+    def _forced(self, mask: int) -> int:
+        """The edges that crossing pairs inside ``mask`` force, as a mask."""
+        forced = 0
+        for f, into, out in self._forced_by:
+            if mask & into and mask & out:
+                forced |= f
+        return forced
+
     def _close(self, mask: int) -> int:
         """Add forced edges to ``mask`` until none is missing."""
-        if self._forcing is None:
-            # (f, into, out): f = (j, k) is forced once the mask meets both
-            # ``into``, edges (i, k) with i < j, and ``out``, edges (j, l) with l > k.
-            bit = {e: 1 << r - 1 for e, r in self.label_rank.items()}
-            need: dict[Edge, tuple[int, int]] = {}
-            for a, c in combinations(sorted(bit), 2):
-                for f in forced_edges((a, c)):  # a = (i, k) and c = (j, l)
-                    into, out = need.get(f, (0, 0))
-                    need[f] = (into | bit[a], out | bit[c])
-            self._forcing = tuple((bit[f], i, o) for f, (i, o) in need.items())
-        while True:
-            grown = mask
-            for f, into, out in self._forcing:
-                if mask & into and mask & out:
-                    grown |= f
-            if grown == mask:
-                return mask
+        while (grown := mask | self._forced(mask)) != mask:
             mask = grown
+        return mask
 
     def meet_index(self, xi: int, yi: int) -> int:
         """Meet of two element indices (not range-checked), as an index."""
@@ -228,15 +222,9 @@ class NetworkLattice:
         return self._row(xi)[0][yi]
 
     def mobius_closed(self, x: ElementRef, y: ElementRef) -> int:
-        """0 when y has a crossing-forced edge missing from x, else
-        (-1) to the rank difference."""
+        """0 if y has a forced edge that x lacks, else (-1) to the rank difference."""
         xi, yi = self._interval(x, y)
-        if self._forced_masks is None:
-            self._forced_masks = tuple(
-                sum(1 << self.label_rank[e] - 1 for e in forced_edges(net.edges))
-                for net in self.elements
-            )
-        if self._forced_masks[yi] & ~self.edge_masks[xi]:
+        if self._forced(self.edge_masks[yi]) & ~self.edge_masks[xi]:
             return 0
         return -1 if (self.ranks[yi] - self.ranks[xi]) % 2 else 1
 
@@ -291,7 +279,21 @@ def build_lattice(eps: Sequence[int]) -> NetworkLattice:
         mask_index=mask_index,
         up_masks=up_masks,
         down_masks=down_masks,
+        _forced_by=tuple((1 << b, i, o) for b, (i, o) in enumerate(_forcing_table(labels)) if i),
     )
+
+
+def _forcing_table(labels: Sequence[Edge]) -> tuple[tuple[int, int], ...]:
+    """Entry b holds the masks (into, out) whose meeting forces the edge
+    (j, k) at bit b of ``labels``: edges (i, k), i < j, and (j, l), l > k;
+    (0, 0) if nothing forces it.  Each pair goes through ``forced_edges``."""
+    bit = {e: b for b, e in enumerate(labels)}
+    table = [(0, 0)] * len(labels)
+    for a, c in combinations(sorted(labels), 2):
+        for f in forced_edges((a, c)):  # a = (i, k) and c = (j, l)
+            into, out = table[bit[f]]
+            table[bit[f]] = (into | 1 << bit[a], out | 1 << bit[c])
+    return tuple(table)
 
 
 def _order_masks(
@@ -336,28 +338,26 @@ def poly_format(coeffs: Sequence[int]) -> str:
 
 def whitney_direct(eps: Sequence[int]) -> tuple[int, ...]:
     """Rank counts of the network lattice, from the definition: the
-    networks fitting ``eps`` are the subsets of the fullest network's edges
-    to which ``forced_edges`` adds nothing.  A depth-first walk decides the
-    edges sink descending, then source ascending.  (j, k) is forced by a
-    pair (i, k), (j, l) with i < j < k < l, and both come earlier in that
-    order, so the chosen edges already tell whether (j, k) is forced.  A
-    forced edge is taken, any other is branched on; each leaf is a network.
-    """
+    networks fitting ``eps`` are the subsets of the fullest network's
+    edges closed under the forcing table.  A depth-first walk over int
+    masks decides bits from the highest down (sink descending, then
+    source ascending), so both edges that force (j, k) come first and its
+    own table entry tells whether it is forced.  A forced edge is taken,
+    any other is branched on; each leaf is a network."""
     eps = strip_neutral(check_signature(eps))
-    edges = sorted(max_network(eps).edges, key=lambda e: (-e[1], e[0]))
-    counts = [0] * (len(edges) + 1)
+    table = _forcing_table(sorted(max_network(eps).edges, key=label_key))
+    counts = [0] * (len(table) + 1)
 
-    def walk(i: int, chosen: list[Edge]) -> None:
-        if i == len(edges):
-            counts[len(chosen)] += 1
+    def walk(b: int, chosen: int, rank: int) -> None:
+        if b < 0:
+            counts[rank] += 1
             return
-        if edges[i] not in forced_edges(chosen):
-            walk(i + 1, chosen)
-        chosen.append(edges[i])
-        walk(i + 1, chosen)
-        chosen.pop()
+        into, out = table[b]
+        if not (chosen & into and chosen & out):
+            walk(b - 1, chosen, rank)
+        walk(b - 1, chosen | 1 << b, rank + 1)
 
-    walk(0, [])
+    walk(len(table) - 1, 0, 0)
     return tuple(counts)
 
 

@@ -316,6 +316,32 @@ class TestVerifyBounds:
         assert text == ""
         assert maximum in capsys.readouterr().err
 
+    @pytest.mark.parametrize("eps", ["+-", "xx"])
+    def test_eps_for_degree_suite_is_usage_error_whatever_its_text(self, eps, capsys):
+        """Whether --eps applies is decided before its text is parsed."""
+        code, text = run("verify", "--suite", "rothe", "--eps", eps)
+        assert code == 2
+        assert text == ""
+        assert "--eps does not apply to suite rothe" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("suite,eps", [("forest", "+"), ("all", "+"), ("forest", "++-+")])
+    def test_forest_signature_without_final_sink_is_usage_error(self, monkeypatch, capsys,
+                                                               suite, eps):
+        """Refused before any suite runs, as ``all`` takes the smallest limits."""
+        from permnet import checks
+
+        for name in ("check_bijection", "check_forest", "check_lattice", "check_whitney"):
+            monkeypatch.setattr(checks, name, lambda *a, name=name: pytest.fail(f"{name} ran"))
+        code, text = run("verify", "--suite", suite, "--eps", eps)
+        assert code == 2
+        assert text == ""
+        assert "forest suite needs a signature that ends with a sink" in capsys.readouterr().err
+
+    def test_other_signature_suites_take_signature_without_final_sink(self):
+        code, text = run("verify", "--suite", "lattice", "--eps", "++-+")
+        assert code == 0
+        assert text.startswith("PASS lattice-laws")
+
     def test_all_takes_degree_and_signature(self):
         code, text = run("verify", "--suite", "all", "--n", "3", "--eps", "+-")
         assert code == 0

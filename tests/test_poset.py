@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import random
 
 import pytest
@@ -184,6 +185,38 @@ class TestMeetJoin:
         )
 
 
+def forced_mask(labels, edges):
+    """The mask of ``forced_edges`` on ``edges``, bit b for ``labels[b]``."""
+    return sum(1 << labels.index(e) for e in forced_edges(edges))
+
+
+class TestForcingTable:
+    """The forcing table is derived from ``forced_edges`` on edge pairs;
+    its forced masks must equal the primitive's on whole edge sets."""
+
+    def test_forced_mask_matches_primitive_on_every_element(self):
+        signatures = ["+" + "".join(t) for length in range(6)
+                      for t in itertools.product("+-", repeat=length)]
+        assert len(signatures) == 63
+        for text in signatures:
+            lat = build_lattice(sig(text))
+            labels = sorted(lat.label_rank, key=lat.label_rank.get)
+            for m, net in zip(lat.edge_masks, lat.elements):
+                assert lat._forced(m) == forced_mask(labels, net.edges)
+
+    def test_forced_mask_matches_primitive_on_length_ten_sample(self):
+        eps = sig("+++++-----")
+        labels = sorted(network.max_network(eps).edges, key=label_key)
+        table = poset._forcing_table(labels)
+        rng = random.Random(10)
+        for _ in range(2000):
+            density = rng.random()  # spread the sample over the ranks
+            edges = completion_closure(e for e in labels if rng.random() < density)
+            m = sum(1 << labels.index(e) for e in edges)
+            got = sum(1 << b for b, (into, out) in enumerate(table) if m & into and m & out)
+            assert got == forced_mask(labels, edges)
+
+
 class TestWhitney:
     def test_worked_polynomial(self):
         assert poset.whitney_direct(sig("++---")) == (1, 6, 12, 13, 9, 4, 1)
@@ -225,8 +258,12 @@ class TestWhitney:
         calls, original = [], network.from_permutation
         monkeypatch.setattr(network, "from_permutation", lambda w: calls.append(w) or original(w))
         assert sum(poset.whitney_direct(sig("++++----"))) == 6902
-        eps = sig("++++-----")
-        assert poset.whitney_direct(eps) == poset.whitney_recurrence(eps)
+        nines = [e for e in checks.signatures_up_to(9) if len(e) == 9]
+        assert len(nines) == 128
+        for eps in nines + [sig("+++++-----")]:
+            direct = poset.whitney_direct(eps)
+            assert direct == poset.whitney_recurrence(eps)
+        assert sum(direct) == 329462  # +++++-----
         assert calls == []
 
     def test_poly_format(self):
