@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import permutations as all_words
-from typing import Optional, Sequence, Union
+from typing import Optional
 
 from . import diagram, forest, network, perm, poset
 
@@ -87,10 +87,9 @@ def check_polyomino(n: int) -> list[CheckResult]:
     bad = None
     for w in all_words(range(1, n + 1)):
         poly = diagram.rothe_diagram(w)
-        if not poly.cells or poly.component_count != 1:
+        if not poly.cells:
             continue
         try:
-            diagram.validate_shape(poly)
             word = diagram.polyomino_permutation(poly)
         except diagram.PolyominoError:
             continue
@@ -131,23 +130,19 @@ def check_forest(lat: poset.NetworkLattice) -> list[CheckResult]:
     out = []
     eps = lat.eps
     forests = forest.enumerate_forests(eps)
-    round_ok = all(
-        forest.from_network(forest.to_network(f), eps) == f for f in forests
-    )
-    images = {forest.to_network(f) for f in forests}
+    nets = [forest.to_network(f) for f in forests]
+    round_ok = all(forest.from_network(net, eps) == f for f, net in zip(forests, nets))
     out.append(
         CheckResult(
             "forest-network-bijection",
-            round_ok and images == set(lat.elements),
+            round_ok and set(nets) == set(lat.elements),
             f"{len(forests)} forests <-> {len(lat.elements)} networks",
         )
     )
     base = forest.max_network_permutation(eps)
     bad = None
-    for f in forests:
-        if forest.strand_permutation(f) != perm.inverse(
-            network.to_permutation(forest.to_network(f))
-        ):
+    for f, net in zip(forests, nets):
+        if forest.strand_permutation(f) != perm.inverse(network.to_permutation(net)):
             bad = ("strands", f)
             break
         leaf_word = forest.leaf_deletion_permutation(f)
@@ -294,7 +289,7 @@ def _check_limit(suite: str, flag: str, value: Optional[int], low: int, table) -
 def run_suite(
     suite: str,
     n: Optional[int] = None,
-    eps: Union[str, Sequence[int], None] = None,
+    eps: Optional[str] = None,
     bound: Optional[int] = None,
 ) -> list[CheckResult]:
     """Run one named suite; ``all`` runs everything at desk-scale bounds.
@@ -302,7 +297,7 @@ def run_suite(
     ``bound`` caps the signature length and stands in for a missing ``n``;
     one the suite does not run raises BoundError rather than shrinking,
     and so does ``n`` for a signature suite or ``eps`` for a degree suite.
-    ``eps`` may be signature text, parsed only once the suite takes it.
+    ``eps`` is signature text, parsed only once the suite takes it.
     The forest suite needs a signature that ends with a sink, so any
     other raises BoundError before a suite runs.
     """
@@ -318,9 +313,7 @@ def run_suite(
     if eps is None:
         _check_limit(suite, "--bound", bound, 2, MAX_LENGTH)
     else:
-        if isinstance(eps, str):
-            eps = network.parse_signature(eps)
-        eps = network.strip_neutral(network.check_signature(eps))
+        eps = network.strip_neutral(network.parse_signature(eps))
         if suite in ("forest", "all") and eps and eps[-1] == 1:
             raise BoundError("the forest suite needs a signature that ends with a sink, "
                              f"not {network.format_signature(eps)}")

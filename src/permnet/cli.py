@@ -95,6 +95,8 @@ def cmd_convert(args, out, caps) -> int:
     read off; that work is bounded by its cell count."""
     src, dst = args.source, args.target
     value = args.value
+    if args.eps is not None and dst != "forest":
+        raise CliError("--eps applies only with --to forest", EXIT_USAGE)
     if src == "perm":
         word = perm.parse_word(value)
         _check_degree(len(word))
@@ -158,17 +160,15 @@ def cmd_enumerate(args, out, caps) -> int:
 
 
 def cmd_verify(args, out, caps) -> int:
-    eps = args.eps
-    if eps is not None:
+    if args.eps is not None:
         try:
-            eps = network.parse_signature(eps)
+            eps = network.strip_neutral(network.parse_signature(args.eps))
         except network.NetworkError:
-            pass  # run_suite parses the text again once it knows the suite takes --eps
-        else:
-            if len(network.strip_neutral(eps)) > _lattice_cap(caps):
-                raise CliError("signature exceeds cap", EXIT_USAGE)
+            eps = ()  # run_suite reports bad text once it knows the suite takes --eps
+        if len(eps) > _lattice_cap(caps):
+            raise CliError("signature exceeds cap", EXIT_USAGE)
     try:
-        results = checks.run_suite(args.suite, n=args.n, eps=eps, bound=args.bound)
+        results = checks.run_suite(args.suite, n=args.n, eps=args.eps, bound=args.bound)
     except checks.BoundError as exc:
         raise CliError(str(exc), EXIT_USAGE) from None
     failed = False
@@ -206,8 +206,19 @@ def cmd_mobius(args, out, caps) -> int:
     return EXIT_OK
 
 
+# The formats each render source writes.
+RENDER_FORMATS = {"poset": ("text", "dot"), "network": ("text", "json"),
+                  "polyomino": ("text", "json", "cells"), "forest": ("text", "json")}
+
+
 def cmd_render(args, out, caps) -> int:
-    if args.poset is not None:
+    """argparse admits exactly one source; a format that source does not
+    write is refused before the object is read."""
+    source = next(s for s in RENDER_FORMATS if getattr(args, s) is not None)
+    if args.format not in RENDER_FORMATS[source]:
+        raise CliError(f"--format {args.format} does not apply to --{source}; "
+                       f"use {' or '.join(RENDER_FORMATS[source])}", EXIT_USAGE)
+    if source == "poset":
         eps = _parse_eps(args.poset, True, out, _lattice_cap(caps))
         lat = poset.build_lattice(eps)
         if args.format == "dot":
@@ -215,8 +226,7 @@ def cmd_render(args, out, caps) -> int:
         else:
             for i, net in enumerate(lat.elements):
                 out.write(f"{i} rank={lat.ranks[i]} {network.format_network(net)}\n")
-        return EXIT_OK
-    if args.network is not None:
+    elif source == "network":
         net = network.parse_network(args.network)
         if args.format == "json":
             out.write(network.network_to_json(net) + "\n")
@@ -225,8 +235,7 @@ def cmd_render(args, out, caps) -> int:
             sig = network.signature_of(net)
             out.write(" ".join(marks[v] for v in sig) + "\n")
             out.write(network.format_network(net) + "\n")
-        return EXIT_OK
-    if args.polyomino is not None:
+    elif source == "polyomino":
         poly = diagram.polyomino_from_json(args.polyomino)
         lp = diagram.label_polyomino(poly) if poly.cells else None
         if args.format == "json":
@@ -235,15 +244,13 @@ def cmd_render(args, out, caps) -> int:
             out.write(diagram.cell_dump(poly, lp) + "\n")
         else:
             out.write(diagram.render_polyomino(poly, lp) + "\n")
-        return EXIT_OK
-    if args.forest is not None:
+    else:
         f = forest.forest_from_json(args.forest)
         if args.format == "json":
             out.write(forest.forest_to_json(f) + "\n")
         else:
             out.write(forest.render_forest(f) + "\n")
-        return EXIT_OK
-    raise CliError("render needs one of --poset/--network/--polyomino/--forest", EXIT_USAGE)
+    return EXIT_OK
 
 
 VERBS = {"convert": cmd_convert, "enumerate": cmd_enumerate, "verify": cmd_verify,
@@ -289,10 +296,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", required=True)
 
     p = sub.add_parser("render", help="text/DOT renderings")
-    p.add_argument("--poset")
-    p.add_argument("--network")
-    p.add_argument("--polyomino")
-    p.add_argument("--forest")
+    sources = p.add_mutually_exclusive_group(required=True)
+    for source in RENDER_FORMATS:
+        sources.add_argument(f"--{source}")
     p.add_argument("--format", default="text", choices=["text", "json", "dot", "cells"])
     return ap
 

@@ -111,10 +111,9 @@ def validate_shape(poly: Polyomino) -> None:
     cells = poly.cells
     if not cells:
         raise PolyominoError(COND_EMPTY, "empty polyomino")
-    if poly.component_count != 1:
-        raise PolyominoError(
-            COND_CONNECTED, f"{poly.component_count} components, expected 1"
-        )
+    count = poly.component_count
+    if count != 1:
+        raise PolyominoError(COND_CONNECTED, f"{count} components, expected 1")
     rmin = min(r for r, _ in cells) - 1
     rmax = max(r for r, _ in cells) + 1
     cmin = min(c for _, c in cells) - 1

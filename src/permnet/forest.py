@@ -6,6 +6,9 @@ as long as the number of sources before the i-th largest sink.  A forest
 marks some cells, subject to one rule: no marked cell may have marked
 cells both below it in its column and left of it in its row.
 
+A forest carries its shape, computed once by its builder
+(``make_forest`` or ``enumerate_forests``) from the checked signature.
+
 Cells are (row, col) with row 1 at the BOTTOM here; conversions to the
 matrix convention used by the diagram module are explicit at call sites.
 """
@@ -13,7 +16,7 @@ matrix convention used by the diagram module are explicit at call sites.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
 from .perm import Word, check_word, identity, inverse
@@ -113,12 +116,14 @@ def _inside(shape: Sequence[int], cell) -> bool:
 
 @dataclass(frozen=True)
 class Forest:
+    """A marking of the Young diagram of ``eps``.  Build one with ``make_forest``,
+    the constructor that validates, or take it from ``enumerate_forests``;
+    both fill ``shape``, which is derived from ``eps`` and so is left out
+    of equality, the hash and the repr."""
+
     eps: Signature
     pointed: frozenset[Cell]
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return young_shape(self.eps)
+    shape: tuple[int, ...] = field(compare=False, repr=False)
 
     @property
     def size(self) -> int:
@@ -149,7 +154,7 @@ def make_forest(eps: Sequence[int], pointed: Iterable[Cell]) -> Forest:
                 cell=(r, c),
                 witnesses=(below, left),
             )
-    return Forest(eps=e, pointed=pts)
+    return Forest(eps=e, pointed=pts, shape=shape)
 
 
 def crossing_cells(f: Forest) -> frozenset[Cell]:
@@ -171,29 +176,34 @@ def enumerate_forests(eps: Sequence[int]) -> list[Forest]:
 
     Scanning rows bottom-to-top and left-to-right makes the marking rule
     checkable at placement time, so invalid branches die immediately.
+    Every earlier mark lies below or left of the cell being placed, so
+    the rule costs O(1): a mark below means the column already holds a
+    mark, and a mark to the left means the last mark is in this row.
     """
     e = check_forest_signature(eps)
     shape = young_shape(e)
     cells = sorted(shape_cells(shape))
-    out: list[Forest] = []
+    found: list[tuple[Cell, ...]] = []
     chosen: list[Cell] = []
+    column_marks = [0] * (max(shape, default=0) + 1)
 
     def place(idx: int) -> None:
         if idx == len(cells):
-            out.append(Forest(eps=e, pointed=frozenset(chosen)))
+            found.append(tuple(chosen))
             return
         place(idx + 1)
         r, c = cells[idx]
-        below = any(cc == c and rr < r for rr, cc in chosen)
-        left = any(rr == r and cc < c for rr, cc in chosen)
-        if not (below and left):
+        if not (column_marks[c] and chosen[-1][0] == r):
             chosen.append((r, c))
+            column_marks[c] += 1
             place(idx + 1)
+            column_marks[c] -= 1
             chosen.pop()
 
     place(0)
-    out.sort(key=lambda f: (f.size, sorted(f.pointed)))
-    return out
+    # ``chosen`` grows in raster order, so each tuple is its sorted marks.
+    found.sort(key=lambda marks: (len(marks), marks))
+    return [Forest(eps=e, pointed=frozenset(marks), shape=shape) for marks in found]
 
 
 def to_network(f: Forest) -> Network:

@@ -329,13 +329,3 @@ def parse_network(text: str) -> Network:
 
 def network_to_json(net: Network) -> str:
     return json.dumps({"n": net.n, "edges": [list(e) for e in sorted_edges(net)]})
-
-
-def network_from_json(text: str) -> Network:
-    try:
-        obj = json.loads(text)
-        n = int(obj["n"])
-        edges = [tuple(int(v) for v in e) for e in obj["edges"]]
-    except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
-        raise NetworkError(ERR_RANGE, f"cannot parse network json: {text!r}") from exc
-    return validate(n, edges)

@@ -207,11 +207,55 @@ class TestRender:
         assert run("render", source, "") == (3, "")
         assert "cannot parse" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("source,value", [
+        ("poset", "++--"),
+        ("network", "n=4; edges=(2,3),(1,3)"),
+        ("polyomino", json.dumps({"cells": [[1, 1], [1, 2]]})),
+        ("forest", json.dumps({"epsilon": "+ + - -", "pointed": [[1, 2]]})),
+    ])
+    def test_each_format_of_each_source_renders(self, source, value):
+        for fmt in cli.RENDER_FORMATS[source]:
+            code, text = run("render", f"--{source}", value, "--format", fmt)
+            assert code == 0 and text
+
+    def test_network_json_is_written_not_read(self, capsys):
+        code, text = run("render", "--network", "n=2; edges=(1,2)", "--format", "json")
+        assert (code, text) == (0, '{"n": 2, "edges": [[1, 2]]}\n')
+        assert run("render", "--network", text.strip()) == (3, "")
+        assert "cannot parse network text" in capsys.readouterr().err
+
     def test_polyomino_cell_dump(self):
         value = json.dumps({"cells": [[1, 1]]})
         code, text = run("render", "--polyomino", value, "--format", "cells")
         assert code == 0
         assert text.strip() == "cell 1 1 2"
+
+
+class TestIgnoredFlags:
+    """A flag the verb would not use is a usage error, not silently dropped."""
+
+    @pytest.mark.parametrize("argv,flag", [
+        (("render", "--poset", "+-", "--format", "json"), "--format json"),
+        (("render", "--poset", "+-", "--format", "cells"), "--format cells"),
+        (("render", "--network", "n=2; edges=(1,2)", "--format", "dot"), "--format dot"),
+        (("render", "--network", "n=2; edges=(1,2)", "--format", "cells"), "--format cells"),
+        (("render", "--polyomino", '{"cells": [[1, 1]]}', "--format", "dot"), "--format dot"),
+        (("render", "--forest", '{"epsilon": "+ -", "pointed": []}', "--format", "cells"),
+         "--format cells"),
+        (("render", "--forest", '{"epsilon": "+ -", "pointed": []}', "--format", "dot"),
+         "--format dot"),
+        (("render", "--poset", "xx", "--format", "json"), "--format json"),
+        (("render", "--poset", "+-", "--network", "n=2; edges=(1,2)"), "--network"),
+        (("render", "--forest", "{}", "--polyomino", "{}"), "--polyomino"),
+        (("render", "--format", "text"), "--poset"),
+        (("convert", "--from", "perm", "--to", "network", "--eps", "+-", "21"), "--eps"),
+        (("convert", "--from", "perm", "--to", "perm", "--eps", "+-", "21"), "--eps"),
+        (("convert", "--from", "network", "--to", "polyomino", "--eps", "", "n=0; edges="),
+         "--eps"),
+    ])
+    def test_ignored_flag_is_usage_error(self, argv, flag, capsys):
+        assert run(*argv) == (2, "")
+        assert flag in capsys.readouterr().err
 
 
 class TestDeterminism:

@@ -350,3 +350,55 @@ def test_double_shadow_error_matches_reference_scan(n, p, rng):
     with pytest.raises(ForestError) as exc:
         forest.make_forest(e, marks)
     assert (exc.value.cell, exc.value.witnesses, str(exc.value)) == expected
+
+
+# -- the builders fill the shape; enumeration against the pointwise rule -------
+
+
+def reference_forests(e):
+    """Every subset of the shape's cells that ``make_forest`` accepts,
+    sorted by (size, cells)."""
+    cells = forest.shape_cells(forest.young_shape(e))
+    out = []
+    for mask in range(1 << len(cells)):
+        try:
+            out.append(forest.make_forest(e, [x for i, x in enumerate(cells) if mask >> i & 1]))
+        except ForestError:
+            pass
+    out.sort(key=lambda f: (f.size, sorted(f.pointed)))
+    return out
+
+
+@pytest.mark.parametrize("length", [0, *range(2, 7)])
+def test_enumerate_forests_matches_pointwise_reference(length):
+    sigs = [()] if length == 0 else [e for e in checks.signatures_up_to(length) if len(e) == length]
+    for e in sigs:
+        got, expected = forest.enumerate_forests(e), reference_forests(e)
+        assert [sorted(f.pointed) for f in got] == [sorted(f.pointed) for f in expected]
+        assert got == expected
+
+
+def test_builders_fill_shape_outside_equality_and_hash():
+    forests = []
+    for e in [(), *checks.signatures_up_to(5)]:
+        for f in forest.enumerate_forests(e):
+            g = forest.make_forest(e, sorted(f.pointed))
+            forests += [f, g]
+            assert f.shape == g.shape == forest.young_shape(f.eps)
+            assert "shape" not in repr(f)
+    for f in forests:
+        for g in forests:
+            same = (f.eps, f.pointed) == (g.eps, g.pointed)
+            assert (f == g) == same
+            assert not same or hash(f) == hash(g)
+
+
+@pytest.mark.parametrize("build", [forest.enumerate_forests, forest.generating_function])
+def test_one_young_shape_call_per_enumeration(monkeypatch, build):
+    calls = []
+    young_shape = forest.young_shape
+    monkeypatch.setattr(forest, "young_shape", lambda eps: calls.append(eps) or young_shape(eps))
+    for eps in ["+-", "++-+--", "+++---"]:
+        calls.clear()
+        build(sig(eps))
+        assert len(calls) == 1

@@ -262,7 +262,6 @@ class TestTextFormats:
     def test_parse_round_trip(self, networks_by_degree):
         for net in networks_by_degree[4]:
             assert network.parse_network(network.format_network(net)) == net
-            assert network.network_from_json(network.network_to_json(net)) == net
 
     def test_parse_empty_edges(self):
         assert network.parse_network("n=3; edges=").rank == 0
