@@ -44,7 +44,6 @@ from .diagram import (
     polyomino_permutation,
     rothe_diagram,
     rothe_edges,
-    rothe_polyomino,
     rothe_step,
 )
 from .forest import (

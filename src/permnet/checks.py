@@ -95,7 +95,7 @@ def check_polyomino(n: int) -> list[CheckResult]:
             continue
         tested += 1
         expected = network.from_permutation(perm.inverse(word)).edges
-        if diagram.polyomino_edges(poly) != expected:
+        if diagram.peel_edges(poly) != expected:  # shape validated above
             bad = w
             break
     return [
@@ -240,8 +240,7 @@ def check_mobius(lat: poset.NetworkLattice) -> list[CheckResult]:
 
 def check_el(lat: poset.NetworkLattice) -> list[CheckResult]:
     """Each interval has one rising maximal chain, and the lex-least one
-    rises (its edge bits increase); the Snelling check is lattice-wide."""
-    masks = lat.edge_masks
+    rises (its label word increases); the Snelling check is lattice-wide."""
     bad = None
     intervals = 0
     for x in range(len(lat.elements)):
@@ -250,9 +249,8 @@ def check_el(lat: poset.NetworkLattice) -> list[CheckResult]:
             if lat.rising_chains(x, y) != 1:
                 bad = (x, y, "rising-count")
                 break
-            chain = lat.lex_least_chain(x, y)
-            steps = [masks[b] ^ masks[a] for a, b in zip(chain, chain[1:])]
-            if any(s >= t for s, t in zip(steps, steps[1:])):
+            word = lat.lex_least_labels(x, y)
+            if any(s >= t for s, t in zip(word, word[1:])):
                 bad = (x, y, "lex-least")
                 break
         if bad:

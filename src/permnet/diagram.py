@@ -7,10 +7,10 @@ such a diagram encodes a permutation (``polyomino_permutation``) and an
 edge set (``polyomino_edges``) obtained by repeatedly stripping the
 boundary ribbon.
 
-Rothe diagrams are handled on one-line words directly (``rothe_step``,
-``rothe_edges``); the drawn form (``rothe_polyomino``) compacts away
-empty rows/columns and carries the word's labels along, and is used for
-rendering and cross-checks only.
+Rothe diagrams are handled on one-line words directly: ``rothe_cells``
+lists the inversion cells, ``rothe_diagram`` compacts away empty rows and
+columns, and ``rothe_step``/``rothe_edges`` reduce the word down to the
+identity, emitting the edge set of the inverse word's network.
 """
 
 from __future__ import annotations
@@ -48,29 +48,21 @@ class Polyomino:
             if r < 1 or c < 1:
                 raise PolyominoError(COND_EMPTY, f"cell {(r, c)} not positive")
 
-    def __bool__(self) -> bool:
-        return bool(self.cells)
-
     @property
-    def components(self) -> list[frozenset[Cell]]:
+    def component_count(self) -> int:
+        """Number of edge-connected components of the cells."""
         todo = set(self.cells)
-        out = []
+        count = 0
         while todo:
+            count += 1
             stack = [todo.pop()]
-            comp = set(stack)
             while stack:
                 r, c = stack.pop()
                 for nb in ((r - 1, c), (r + 1, c), (r, c - 1), (r, c + 1)):
                     if nb in todo:
                         todo.remove(nb)
-                        comp.add(nb)
                         stack.append(nb)
-            out.append(frozenset(comp))
-        return sorted(out, key=lambda comp: min(comp))
-
-    @property
-    def component_count(self) -> int:
-        return len(self.components)
+        return count
 
 
 def polyomino(cells: Iterable[Cell]) -> Polyomino:
@@ -398,6 +390,11 @@ def polyomino_edges(poly: Polyomino) -> frozenset[Edge]:
     if not poly.cells:
         return frozenset()
     validate_shape(poly)
+    return peel_edges(poly)
+
+
+def peel_edges(poly: Polyomino) -> frozenset[Edge]:
+    """``polyomino_edges`` on a diagram whose shape is already validated."""
     edges: set[Edge] = set()
     current = poly
     last_top = None
@@ -436,76 +433,11 @@ def _compact_maps(cells: frozenset[Cell]) -> tuple[dict[int, int], dict[int, int
     )
 
 
-def _rank(value: int, table: dict[int, int]) -> int:
-    # position after deleting unused indices; unused values land just past
-    # the used ones above them
-    if value in table:
-        return table[value]
-    return sum(1 for k in table if k < value) + 1
-
-
 def rothe_diagram(word: Sequence[int]) -> Polyomino:
     """The word's inversion diagram with empty rows and columns removed."""
     cells = rothe_cells(word)
     rmap, cmap = _compact_maps(cells)
     return Polyomino(cells=frozenset((rmap[r], cmap[c]) for r, c in cells))
-
-
-def rothe_polyomino(word: Sequence[int]) -> LabeledPolyomino:
-    """Compacted inversion diagram with the word's labels carried along.
-
-    The value at position i labels (i, value); after compaction it
-    becomes an east label when a cell survives on its left in the row
-    (nearest first), else a south label of the nearest surviving cell
-    above it in the column.  Fully detached labels are dropped (they
-    never feed the ribbon pipeline).
-    """
-    w = check_word(word)
-    cells = rothe_cells(w)
-    rmap, cmap = _compact_maps(cells)
-    glued = frozenset((rmap[r], cmap[c]) for r, c in cells)
-    east: dict[Cell, int] = {}
-    south: dict[Cell, int] = {}
-    for i, v in enumerate(w, start=1):
-        pos = (_rank(i, rmap), _rank(v, cmap))
-        r, c = pos
-        if (r, c - 1) in glued:
-            east[(r, c - 1)] = v
-        elif (r - 1, c) in glued:
-            south[(r - 1, c)] = v
-        else:
-            left = [cc for rr, cc in glued if rr == r and cc < c]
-            above = [rr for rr, cc in glued if cc == c and rr < r]
-            if left:
-                east[(r, max(left))] = v
-            elif above:
-                south[(max(above), c)] = v
-    return LabeledPolyomino(poly=Polyomino(cells=glued), east=east, south=south)
-
-
-def decreasing_run(word: Sequence[int], start: int) -> tuple[int, ...]:
-    """Nearest-smaller chain walking left from ``start``'s position.
-
-    Entries skipped between consecutive chain members are all larger
-    than the member on the right; the walk stops at the position of the
-    largest value not fixed by the word's tail.
-    """
-    w = check_word(word)
-    top = _active_top(w)
-    if top == 0:
-        return ()
-    pos = {v: p for p, v in enumerate(w, start=1)}
-    limit = pos[top]
-    p = pos[start]
-    if p <= limit:
-        raise PolyominoError(COND_ROWS, f"value {start} not right of {top}")
-    run = [start]
-    cur = start
-    for k in range(p - 1, limit, -1):
-        if w[k - 1] < cur:
-            run.append(w[k - 1])
-            cur = w[k - 1]
-    return tuple(run)
 
 
 def _active_top(w: Word) -> int:

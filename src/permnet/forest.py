@@ -329,37 +329,47 @@ def leaf_deletion_permutation(
     A leaf is a marked cell with no mark above it in its column nor
     right of it in its row.  The outcome does not depend on the order
     leaves are taken in; ``order`` forces an explicit sequence (used to
-    test exactly that).
+    test exactly that).  Without one, marks are peeled from the largest
+    (row, col) down: the largest remaining mark has none above it and
+    none right of it, so it is always a leaf.
     """
     shape = f.shape
     rows = len(shape)
     south, west = _label_tables(f.eps)
     west_by_row = dict(enumerate(west, start=1))
     south_by_col = dict(enumerate(south, start=1))
-    remaining = set(f.pointed)
-
-    def is_leaf(cell: Cell) -> bool:
-        r, c = cell
-        above = any(cc == c and rr > r for rr, cc in remaining)
-        right = any(rr == r and cc > c for rr, cc in remaining)
-        return not above and not right
-
-    queue = list(order) if order is not None else None
-    while remaining:
-        if queue is not None:
-            cell = queue.pop(0)
-            if cell not in remaining:
-                raise ForestError(f"cell {cell} not present", cell=cell)
-        else:
-            cell = max(remaining)
-        if not is_leaf(cell):
-            raise ForestError(f"cell {cell} is not a leaf", cell=cell)
-        r, c = cell
+    peel = sorted(f.pointed, reverse=True) if order is None else _leaf_order(f.pointed, order)
+    for r, c in peel:
         west_by_row[r], south_by_col[c] = south_by_col[c], west_by_row[r]
-        remaining.remove(cell)
     reading = [west_by_row[r] for r in range(rows, 0, -1)]
     reading += [south_by_col[c] for c in range(1, len(south) + 1)]
     return check_word(reading)
+
+
+def _leaf_order(pointed: frozenset[Cell], order: Sequence[Cell]) -> list[Cell]:
+    """The first ``len(pointed)`` cells of ``order``, each checked to be a
+    remaining mark and a leaf when its turn comes.  A leaf is the last
+    remaining mark of its row and of its column, so per-row and
+    per-column stacks of the marks decide each cell in O(1)."""
+    row_marks: dict[int, list[int]] = {}
+    col_marks: dict[int, list[int]] = {}
+    for r, c in sorted(pointed):
+        row_marks.setdefault(r, []).append(c)
+        col_marks.setdefault(c, []).append(r)
+    remaining = set(pointed)
+    peel = list(order)[: len(pointed)]
+    for cell in peel:
+        if cell not in remaining:
+            raise ForestError(f"cell {cell} not present", cell=cell)
+        r, c = cell
+        if row_marks[r][-1] != c or col_marks[c][-1] != r:
+            raise ForestError(f"cell {cell} is not a leaf", cell=cell)
+        row_marks[r].pop()
+        col_marks[c].pop()
+        remaining.remove(cell)
+    if remaining:
+        raise ForestError(f"order stops with {len(remaining)} marks not peeled")
+    return peel
 
 
 def generating_function(eps: Sequence[int]) -> tuple[int, ...]:

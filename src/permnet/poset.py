@@ -7,16 +7,20 @@ int edge mask, and ``mask_index`` maps each mask back to its element.
 Covers are the masks one bit apart, labeled by their new edge; meet is
 ``&``.  One forcing table per signature, from ``forced_edges`` on pairs
 of the fullest network's edges, holds per edge bit the masks ``into``
-and ``out`` that force it.  It serves the join (``|`` closed under the
-table), the Mobius closed form (mu(x, y) is 0 unless x holds every edge
+and ``out`` that force it.  It serves the join (``|`` plus one forcing
+pass), the Mobius closed form (mu(x, y) is 0 unless x holds every edge
 the table forces in y, else (-1) to the rank difference) and the direct
-Whitney count, a walk over int masks.  One cached row per bottom x,
-walked once over up(x) in rank order, holds for every y above x the
-Mobius value mu(x, y) by the recursion on the order masks, the rising
-and decreasing chain counts, and the lex-least chain of [x, y].  With a
-Snelling check (every cover adds its label's edge, and the order is
-inclusion) these give the EL route and three independent Mobius routes:
-recursion, closed form and decreasing chains.
+Whitney count, a walk over int masks.  One forcing pass closes a
+union, since forced edges force nothing new: (j, k) is forced when the
+smallest source into k lies below j and the largest sink out of j lies
+above k, and adding (j, k) moves neither of those two tables.  One
+cached row per bottom x, walked once over up(x) in rank order, holds
+for every y above x the Mobius value mu(x, y) by the recursion on the
+order masks, the rising and decreasing chain counts, and the lex-least
+label word of [x, y].  With a Snelling check (every cover adds its
+label's edge, and the order is inclusion) these give the EL route and
+three independent Mobius routes: recursion, closed form and decreasing
+chains.
 """
 
 from __future__ import annotations
@@ -108,19 +112,15 @@ class NetworkLattice:
                 forced |= f
         return forced
 
-    def _close(self, mask: int) -> int:
-        """Add forced edges to ``mask`` until none is missing."""
-        while (grown := mask | self._forced(mask)) != mask:
-            mask = grown
-        return mask
-
     def meet_index(self, xi: int, yi: int) -> int:
         """Meet of two element indices (not range-checked), as an index."""
         return self._element(self.edge_masks[xi] & self.edge_masks[yi], "meet")
 
     def join_index(self, xi: int, yi: int) -> int:
-        """Join of two element indices (not range-checked), as an index."""
-        return self._element(self._close(self.edge_masks[xi] | self.edge_masks[yi]), "join")
+        """Join of two element indices (not range-checked), as an index:
+        the union plus the edges it forces, which force nothing more."""
+        union = self.edge_masks[xi] | self.edge_masks[yi]
+        return self._element(union | self._forced(union), "join")
 
     def meet(self, x: ElementRef, y: ElementRef) -> Network:
         return self.elements[self.meet_index(self.idx(x), self.idx(y))]
@@ -185,15 +185,11 @@ class NetworkLattice:
         xi, yi = self._interval(x, y)
         return sum(self._row(xi)[2][yi])
 
-    def lex_least_chain(self, x: ElementRef, y: ElementRef) -> tuple[int, ...]:
-        """Element indices of the maximal chain of [x, y] whose label word
-        is lexicographically least."""
+    def lex_least_labels(self, x: ElementRef, y: ElementRef) -> tuple[int, ...]:
+        """The lexicographically least label word (label ranks, bottom
+        first) over the maximal chains of [x, y]."""
         xi, yi = self._interval(x, y)
-        mask, chain = self.edge_masks[xi], [xi]
-        for r in self._row(xi)[3][yi]:
-            mask |= 1 << r - 1
-            chain.append(self._element(mask, "lex-least chain"))
-        return tuple(chain)
+        return self._row(xi)[3][yi]
 
     def snelling_check(self, x: ElementRef, y: ElementRef) -> bool:
         """Every cover adds exactly its label's edge, and the order is
@@ -261,13 +257,14 @@ def build_lattice(eps: Sequence[int]) -> NetworkLattice:
     mask_index = {m: i for i, m in enumerate(edge_masks)}
     if (1 << len(labels)) - 1 not in mask_index:
         raise LatticeError("maximal network missing from enumeration")
+    # Each list grows in yi order, and one cover per yi: already sorted.
     up: list[list[tuple[int, Edge]]] = [[] for _ in elements]
     for yi, m in enumerate(edge_masks):
         for b in _bits(m):
             xi = mask_index.get(m ^ 1 << b)
             if xi is not None:
                 up[xi].append((yi, labels[b]))
-    up_adj = tuple(tuple(sorted(a)) for a in up)
+    up_adj = tuple(map(tuple, up))
     up_masks, down_masks = _order_masks(up_adj)
     return NetworkLattice(
         eps=eps,

@@ -4,7 +4,7 @@ from itertools import permutations
 
 import pytest
 
-from permnet import diagram, network, perm
+from permnet import checks, diagram, network, perm
 from permnet.diagram import PolyominoError
 
 # 17-cell staircase diagram encoding a degree-10 permutation
@@ -188,6 +188,16 @@ class TestPeeling:
         assert tested > 0
 
 
+    def test_suite_validates_each_diagram_once(self, monkeypatch):
+        calls, original = [], diagram.validate_shape
+        monkeypatch.setattr(diagram, "validate_shape", lambda p: calls.append(p) or original(p))
+        [result] = checks.check_polyomino(6)
+        assert result.passed
+        assert "on 503 diagrams" in result.detail
+        # one call for each of the 6! - 1 non-empty diagrams: 503 accepted, 216 rejected
+        assert len(calls) == 719
+
+
 class TestRotheDiagram:
     def test_worked_example_two_components(self):
         poly = diagram.rothe_diagram((2, 6, 3, 5, 1, 4))
@@ -214,7 +224,7 @@ class TestRotheStep:
         assert edges == {(1, 8), (2, 8), (4, 8), (5, 8)}
 
     def test_decreasing_run_worked_example(self):
-        assert diagram.decreasing_run((8, 1, 3, 6, 2, 4, 7, 5), 5) == (5, 4, 2, 1)
+        assert decreasing_run((8, 1, 3, 6, 2, 4, 7, 5), 5) == (5, 4, 2, 1)
 
     def test_step_edges_worked_example(self):
         edges, _succ = diagram.rothe_step((2, 7, 1, 4, 6, 3, 5))
@@ -246,20 +256,86 @@ class TestRotheEdges:
             assert diagram.rothe_edges(w) == expected
 
 
+# -- the geometric route: one reduction step read off the drawn diagram --
+
+
+def _rank(value, table):
+    """Position of ``value`` after deleting the indices missing from
+    ``table``; a missing value lands just past the kept ones below it."""
+    if value in table:
+        return table[value]
+    return sum(1 for k in table if k < value) + 1
+
+
+def rothe_polyomino(word):
+    """Compacted inversion diagram with the word's labels carried along.
+
+    The value at position i labels (i, value); after compaction it
+    becomes an east label when a cell survives on its left in the row
+    (nearest first), else a south label of the nearest surviving cell
+    above it in the column.  Fully detached labels are dropped (they
+    never feed the ribbon pipeline).
+    """
+    w = perm.check_word(word)
+    cells = diagram.rothe_cells(w)
+    rmap, cmap = diagram._compact_maps(cells)
+    glued = frozenset((rmap[r], cmap[c]) for r, c in cells)
+    east, south = {}, {}
+    for i, v in enumerate(w, start=1):
+        r, c = _rank(i, rmap), _rank(v, cmap)
+        if (r, c - 1) in glued:
+            east[(r, c - 1)] = v
+        elif (r - 1, c) in glued:
+            south[(r - 1, c)] = v
+        else:
+            left = [cc for rr, cc in glued if rr == r and cc < c]
+            above = [rr for rr, cc in glued if cc == c and rr < r]
+            if left:
+                east[(r, max(left))] = v
+            elif above:
+                south[(max(above), c)] = v
+    return diagram.LabeledPolyomino(poly=diagram.Polyomino(cells=glued), east=east, south=south)
+
+
+def decreasing_run(word, start):
+    """Nearest-smaller chain walking left from ``start``'s position.
+
+    Entries skipped between consecutive chain members are all larger
+    than the member on the right; the walk stops at the position of the
+    largest value not fixed by the word's tail.
+    """
+    w = perm.check_word(word)
+    top = diagram._active_top(w)
+    if top == 0:
+        return ()
+    pos = {v: p for p, v in enumerate(w, start=1)}
+    limit = pos[top]
+    p = pos[start]
+    if p <= limit:
+        raise PolyominoError(diagram.COND_ROWS, f"value {start} not right of {top}")
+    run = [start]
+    cur = start
+    for k in range(p - 1, limit, -1):
+        if w[k - 1] < cur:
+            run.append(w[k - 1])
+            cur = w[k - 1]
+    return tuple(run)
+
+
 def geometric_step_edges(word):
     """Edge set of one step read off the drawn diagram instead of the word."""
-    lp = diagram.rothe_polyomino(word)
+    lp = rothe_polyomino(word)
     ribbon = diagram.boundary_ribbon(lp)
     tiles = diagram.maximal_dyck_tiling(ribbon)
     labels = {lp.south[run[-1]] for run, _size in tiles}
     top_label = lp.east[ribbon[0]]
-    run = diagram.decreasing_run(word, min(labels))
+    run = decreasing_run(word, min(labels))
     return frozenset((x, top_label) for x in labels | set(run))
 
 
 class TestGeometricCrossCheck:
     def test_two_component_figure(self):
-        lp = diagram.rothe_polyomino((2, 7, 1, 4, 6, 3, 5))
+        lp = rothe_polyomino((2, 7, 1, 4, 6, 3, 5))
         assert diagram.boundary_ribbon(lp) == ((2, 5), (2, 4), (4, 4), (4, 2))
         assert geometric_step_edges((2, 7, 1, 4, 6, 3, 5)) == {(1, 7), (3, 7), (5, 7)}
 

@@ -193,6 +193,13 @@ class TestLeafDeletion:
         with pytest.raises(ForestError):
             forest.leaf_deletion_permutation(f, order=[(1, 1)])
 
+    def test_missing_and_short_orders_rejected(self):
+        f = self.worked_forest()
+        with pytest.raises(ForestError, match="not present"):
+            forest.leaf_deletion_permutation(f, order=[(3, 2), (3, 2)])
+        with pytest.raises(ForestError, match="not peeled"):
+            forest.leaf_deletion_permutation(f, order=[(3, 2), (2, 3)])
+
     def test_empty_forest_reads_base(self):
         f = forest.make_forest(sig("++-+--"), [])
         assert forest.leaf_deletion_permutation(f) == (3, 5, 6, 1, 2, 4)

@@ -5,6 +5,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from permnet import checks, forest, network, poset
 from permnet.network import forced_edges, label_key, parse_signature, validate
@@ -50,11 +52,6 @@ def maximal_chains(lat, x, y):
 def label_words(lat, x, y):
     """The label rank words of all maximal chains of [x, y]."""
     return [tuple(lat.label_rank[e] for e in labels) for labels in maximal_chains(lat, x, y)]
-
-
-def chain_word(lat, chain):
-    """The label rank word of a chain given by its element indices."""
-    return tuple(lat.label_rank[dict(lat.up_adj[a])[b]] for a, b in zip(chain, chain[1:]))
 
 
 def rises(word):
@@ -160,6 +157,13 @@ class TestMeetJoin:
             for y in range(n):
                 union = lat.elements[x].edges | lat.elements[y].edges
                 assert completion_pass(union) == lat.join(x, y).edges
+
+    @given(st.sets(st.tuples(st.integers(1, 12), st.integers(1, 12))
+                   .filter(lambda e: e[0] < e[1])))
+    def test_forced_edges_force_nothing_new(self, edges):
+        """The lemma behind the one-pass join, on arbitrary edge sets."""
+        forced = forced_edges(edges)
+        assert forced_edges(edges | forced) == forced
 
     @staticmethod
     def assert_matches_oracle(lat, pairs):
@@ -347,7 +351,7 @@ class TestCrossingInterval:
         assert rising == [((2, 3), (1, 3), (2, 4))]
 
     def test_rising_chain_is_lex_least(self, lat4, top):
-        least = chain_word(lat4, lat4.lex_least_chain(lat4.bottom, top))
+        least = lat4.lex_least_labels(lat4.bottom, top)
         assert rises(least)
         assert least == min(label_words(lat4, lat4.bottom, top))
 
@@ -426,7 +430,7 @@ class TestChainsAndMobius:
         assert lat4.mobius_recursive(i, i) == 1
         assert lat4.mobius_closed(i, i) == 1
         assert lat4.rising_chains(i, i) == 1
-        assert lat4.lex_least_chain(i, i) == (i,)
+        assert lat4.lex_least_labels(i, i) == ()
 
     def test_boolean_interval_decreasing_count(self, lat4):
         """Intervals without crossings admit exactly one decreasing chain."""
@@ -472,7 +476,7 @@ class TestChainsAndMobius:
         lat = build_lattice(sig(eps))
         for x, y in intervals(lat):
             assert lat.rising_chains(x, y) == 1
-            assert rises(chain_word(lat, lat.lex_least_chain(x, y)))
+            assert rises(lat.lex_least_labels(x, y))
             assert lat.snelling_check(x, y)
 
     @pytest.mark.parametrize("eps", ["++--", "+-+-", "++-+--", "+++---"])
@@ -484,7 +488,7 @@ class TestChainsAndMobius:
             assert lat.decreasing_chain_count(x, y) == sum(
                 rises(word[::-1]) for word in words
             )
-            assert chain_word(lat, lat.lex_least_chain(x, y)) == min(words)
+            assert lat.lex_least_labels(x, y) == min(words)
 
     def test_relabeled_cover_fails_rising_count(self, lat4):
         """The cover from the bottom to {(1,4)}, relabeled (2,3), gives
