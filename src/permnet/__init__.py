@@ -63,7 +63,6 @@ from .forest import (
 from .poset import (
     LatticeError,
     NetworkLattice,
-    boolean_check,
     build_lattice,
     whitney_direct,
     whitney_recurrence,

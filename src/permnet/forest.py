@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 from .perm import Word, check_word, identity, inverse
 from .network import (
@@ -69,9 +69,14 @@ def young_shape(eps: Sequence[int]) -> tuple[int, ...]:
 
     One left-to-right pass counts the sources seen at each sink: O(n).
     """
+    return _shape(check_forest_signature(eps))
+
+
+def _shape(e: Signature) -> tuple[int, ...]:
+    """``young_shape`` of a signature already checked."""
     rows = []
     seen = 0
-    for v in check_forest_signature(eps):
+    for v in e:
         if v == 1:
             seen += 1
         else:
@@ -138,8 +143,12 @@ def make_forest(eps: Sequence[int], pointed: Iterable[Cell]) -> Forest:
     rule costs O(1) per mark, so this is O(n + marks); only a rejected
     cell pays for the scan that names its witnesses.
     """
-    e = check_forest_signature(eps)
-    shape = young_shape(e)
+    return _mark(check_forest_signature(eps), pointed)
+
+
+def _mark(e: Signature, pointed: Iterable[Cell]) -> Forest:
+    """``make_forest`` on a signature already checked."""
+    shape = _shape(e)
     pts = frozenset(tuple(c) for c in pointed)
     for cell in pts:
         if not _inside(shape, cell):
@@ -181,7 +190,7 @@ def enumerate_forests(eps: Sequence[int]) -> list[Forest]:
     mark, and a mark to the left means the last mark is in this row.
     """
     e = check_forest_signature(eps)
-    shape = young_shape(e)
+    shape = _shape(e)
     cells = sorted(shape_cells(shape))
     found: list[tuple[Cell, ...]] = []
     chosen: list[Cell] = []
@@ -227,7 +236,7 @@ def from_network(net: Network, eps: Sequence[int]) -> Forest:
     row = {j: r for r, j in enumerate(downs, start=1)}
     forced = forced_edges(net.edges)
     pts = {(row[j], col[i]) for i, j in net.edges if (i, j) not in forced}
-    return make_forest(e, pts)
+    return _mark(e, pts)
 
 
 # -- strand routing ----------------------------------------------------------
@@ -319,57 +328,27 @@ def max_network_permutation(eps: Sequence[int]) -> Word:
     return inverse(to_permutation(max_network(check_forest_signature(eps))))
 
 
-def leaf_deletion_permutation(
-    f: Forest, order: Optional[Sequence[Cell]] = None
-) -> Word:
+def leaf_deletion_permutation(f: Forest) -> Word:
     """Peel leaves, swapping their two boundary labels, then read the
     boundary counterclockwise (west edges top to bottom, then south
     edges left to right).
 
     A leaf is a marked cell with no mark above it in its column nor
     right of it in its row.  The outcome does not depend on the order
-    leaves are taken in; ``order`` forces an explicit sequence (used to
-    test exactly that).  Without one, marks are peeled from the largest
-    (row, col) down: the largest remaining mark has none above it and
-    none right of it, so it is always a leaf.
+    leaves are taken in; marks are peeled from the largest (row, col)
+    down: the largest remaining mark has none above it and none right
+    of it, so it is always a leaf.
     """
     shape = f.shape
     rows = len(shape)
     south, west = _label_tables(f.eps)
     west_by_row = dict(enumerate(west, start=1))
     south_by_col = dict(enumerate(south, start=1))
-    peel = sorted(f.pointed, reverse=True) if order is None else _leaf_order(f.pointed, order)
-    for r, c in peel:
+    for r, c in sorted(f.pointed, reverse=True):
         west_by_row[r], south_by_col[c] = south_by_col[c], west_by_row[r]
     reading = [west_by_row[r] for r in range(rows, 0, -1)]
     reading += [south_by_col[c] for c in range(1, len(south) + 1)]
     return check_word(reading)
-
-
-def _leaf_order(pointed: frozenset[Cell], order: Sequence[Cell]) -> list[Cell]:
-    """The first ``len(pointed)`` cells of ``order``, each checked to be a
-    remaining mark and a leaf when its turn comes.  A leaf is the last
-    remaining mark of its row and of its column, so per-row and
-    per-column stacks of the marks decide each cell in O(1)."""
-    row_marks: dict[int, list[int]] = {}
-    col_marks: dict[int, list[int]] = {}
-    for r, c in sorted(pointed):
-        row_marks.setdefault(r, []).append(c)
-        col_marks.setdefault(c, []).append(r)
-    remaining = set(pointed)
-    peel = list(order)[: len(pointed)]
-    for cell in peel:
-        if cell not in remaining:
-            raise ForestError(f"cell {cell} not present", cell=cell)
-        r, c = cell
-        if row_marks[r][-1] != c or col_marks[c][-1] != r:
-            raise ForestError(f"cell {cell} is not a leaf", cell=cell)
-        row_marks[r].pop()
-        col_marks[c].pop()
-        remaining.remove(cell)
-    if remaining:
-        raise ForestError(f"order stops with {len(remaining)} marks not peeled")
-    return peel
 
 
 def generating_function(eps: Sequence[int]) -> tuple[int, ...]:

@@ -38,7 +38,6 @@ from .network import (
     check_signature,
     enumerate_networks,
     forced_edges,
-    format_signature,
     label_key,
     max_network,
     sorted_edges,
@@ -388,26 +387,3 @@ def whitney_recurrence(eps: Sequence[int]) -> tuple[int, ...]:
     """
     eps = strip_neutral(check_signature(eps))
     return _whitney_rec(eps)
-
-
-def boolean_check(eps: Sequence[int]) -> bool:
-    """True iff the fullest network for ``eps`` has no crossing edges.
-
-    When true, the lattice must structurally be a Boolean lattice: size
-    2^atoms and bottom-to-top Mobius value (-1)^rank; violations raise.
-    """
-    eps = strip_neutral(check_signature(eps))
-    top = max_network(eps)
-    if forced_edges(top.edges):
-        return False
-    lat = build_lattice(eps)
-    atoms = len(top.edges)
-    if len(lat.elements) != 1 << atoms:
-        raise LatticeError(
-            f"crossing-free signature {format_signature(eps)} gave "
-            f"{len(lat.elements)} elements, expected {1 << atoms}"
-        )
-    mu = lat.mobius_recursive(lat.bottom, lat.top)
-    if mu != (-1 if atoms % 2 else 1):
-        raise LatticeError(f"Boolean lattice Mobius value {mu} at {atoms} atoms")
-    return True

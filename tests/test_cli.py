@@ -84,6 +84,18 @@ class TestConvert:
         code, _ = run("convert", "--from", "perm", "3412")
         assert code == 2
 
+    def test_forest_signature_read_off_the_network(self, capsys):
+        assert run("convert", "--from", "perm", "--to", "forest", "2,1") == (
+            0, '{"epsilon": "+ -", "pointed": [[1, 1]]}\n'
+        )
+        assert run("convert", "--from", "perm", "--to", "forest", "1,3,2") == (3, "")
+        assert "network has neutral points" in capsys.readouterr().err
+
+    def test_forest_cell_with_three_coordinates_exits_invalid(self, capsys):
+        value = json.dumps({"epsilon": "+ -", "pointed": [[1, 1, 1]]})
+        assert run("convert", "--from", "forest", "--to", "perm", value) == (3, "")
+        assert "outside shape" in capsys.readouterr().err
+
 
 class TestEnumerate:
     def test_counts_line(self):
@@ -106,6 +118,10 @@ class TestEnumerate:
         assert run("enumerate", "--n", "3", "--eps", "+-") == (2, "")
         err = capsys.readouterr().err
         assert "--n" in err and "--eps" in err
+
+    def test_neither_n_nor_signature_is_usage_error(self, capsys):
+        assert run("enumerate") == (2, "")
+        assert "enumerate needs --n or --eps" in capsys.readouterr().err
 
 
 class TestVerify:

@@ -1,6 +1,6 @@
 from __future__ import annotations
 
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
 
@@ -172,21 +172,10 @@ class TestPeeling:
     def test_edges_match_inverse_over_small_degrees(self, n):
         """All single-component accepted-class inversion diagrams agree with
         the inverse word's network."""
-        tested = 0
-        for w in permutations(range(1, n + 1)):
-            poly = diagram.rothe_diagram(w)
-            if not poly.cells or poly.component_count != 1:
-                continue
-            try:
-                diagram.validate_shape(poly)
-            except PolyominoError:
-                continue
-            word = diagram.polyomino_permutation(poly)
-            expected = network.from_permutation(perm.inverse(word)).edges
-            assert diagram.polyomino_edges(poly) == expected
-            tested += 1
-        assert tested > 0
-
+        [result] = checks.check_polyomino(n)
+        assert result.passed
+        tested = {3: 5, 4: 22, 5: 102, 6: 503}[n]
+        assert result.detail.endswith(f" on {tested} diagrams")
 
     def test_suite_validates_each_diagram_once(self, monkeypatch):
         calls, original = [], diagram.validate_shape
@@ -196,6 +185,28 @@ class TestPeeling:
         assert "on 503 diagrams" in result.detail
         # one call for each of the 6! - 1 non-empty diagrams: 503 accepted, 216 rejected
         assert len(calls) == 719
+
+    def test_edges_match_inverse_on_every_shape_in_a_box(self):
+        """The claim beyond Rothe diagrams: every accepted shape in the 4x4
+        box anchored at (1, 1).  A shape with a row that is not an interval
+        is rejected, so the shapes built from interval rows are all of them
+        (a scan of all 2^16 cell sets finds the same 816)."""
+        spans = [range(0)] + [range(a, b + 1) for a in range(1, 5) for b in range(a, 5)]
+        tested = 0
+        for rows in product(spans, repeat=4):
+            cells = [(r, c) for r, cols in enumerate(rows, start=1) for c in cols]
+            if not cells or min(cells)[0] != 1 or min(c for _, c in cells) != 1:
+                continue
+            poly = diagram.polyomino(cells)
+            try:
+                diagram.validate_shape(poly)
+            except PolyominoError:
+                continue
+            tested += 1
+            word = diagram.polyomino_permutation(poly)
+            expected = network.from_permutation(perm.inverse(word)).edges
+            assert diagram.polyomino_edges(poly) == expected
+        assert tested == 816
 
 
 class TestRotheDiagram:

@@ -158,6 +158,28 @@ class TestStrandPermutation:
             )
 
 
+def leaf_orders(marks):
+    """Every order that peels ``marks`` one leaf at a time; a leaf has no
+    mark above it in its column nor right of it in its row."""
+    if not marks:
+        yield []
+    for r, c in sorted(marks):
+        if not any((rr > r and cc == c) or (rr == r and cc > c) for rr, cc in marks):
+            for rest in leaf_orders(marks - {(r, c)}):
+                yield [(r, c)] + rest
+
+
+def peel_in_order(f, order):
+    """Leaf deletion by hand: each peeled cell swaps the label on the west
+    end of its row with the one under its column; then the boundary is
+    read west top to bottom, then south left to right."""
+    south = [i for i, v in enumerate(f.eps, start=1) if v == 1]
+    west = [j for j, v in enumerate(f.eps, start=1) if v == -1]  # top row first
+    for r, c in order:
+        west[-r], south[c - 1] = south[c - 1], west[-r]
+    return tuple(west + south)
+
+
 class TestLeafDeletion:
     def worked_forest(self):
         return forest.make_forest(
@@ -170,35 +192,17 @@ class TestLeafDeletion:
         assert forest.leaf_deletion_permutation(f) == (2, 3, 1, 4, 6, 5)
 
     def test_explicit_leaf_orders_agree(self):
-        f = self.worked_forest()
-        expected = forest.leaf_deletion_permutation(f)
-
-        def all_orders(remaining, prefix):
-            if not remaining:
-                yield prefix
-                return
-            for cell in sorted(remaining):
-                above = any(cc == cell[1] and rr > cell[0] for rr, cc in remaining)
-                right = any(rr == cell[0] and cc > cell[1] for rr, cc in remaining)
-                if not above and not right:
-                    yield from all_orders(remaining - {cell}, prefix + [cell])
-
-        orders = list(all_orders(set(f.pointed), []))
-        assert len(orders) > 1
-        for order in orders:
-            assert forest.leaf_deletion_permutation(f, order=order) == expected
-
-    def test_non_leaf_order_rejected(self):
-        f = self.worked_forest()
-        with pytest.raises(ForestError):
-            forest.leaf_deletion_permutation(f, order=[(1, 1)])
-
-    def test_missing_and_short_orders_rejected(self):
-        f = self.worked_forest()
-        with pytest.raises(ForestError, match="not present"):
-            forest.leaf_deletion_permutation(f, order=[(3, 2), (3, 2)])
-        with pytest.raises(ForestError, match="not peeled"):
-            forest.leaf_deletion_permutation(f, order=[(3, 2), (2, 3)])
+        """Order independence: peeling every forest of length <= 6 in each
+        of its leaf orders gives the library's word."""
+        forests = orders = 0
+        for e in checks.signatures_up_to(6):
+            for f in forest.enumerate_forests(e):
+                forests += 1
+                expected = forest.leaf_deletion_permutation(f)
+                for order in leaf_orders(f.pointed):
+                    orders += 1
+                    assert peel_in_order(f, order) == expected
+        assert (forests, orders) == (1630, 3677)
 
     def test_empty_forest_reads_base(self):
         f = forest.make_forest(sig("++-+--"), [])
@@ -402,10 +406,25 @@ def test_builders_fill_shape_outside_equality_and_hash():
 
 @pytest.mark.parametrize("build", [forest.enumerate_forests, forest.generating_function])
 def test_one_young_shape_call_per_enumeration(monkeypatch, build):
+    """The shape is computed once per enumeration, by the private helper
+    behind ``young_shape``."""
     calls = []
-    young_shape = forest.young_shape
-    monkeypatch.setattr(forest, "young_shape", lambda eps: calls.append(eps) or young_shape(eps))
+    shape = forest._shape
+    monkeypatch.setattr(forest, "_shape", lambda eps: calls.append(eps) or shape(eps))
     for eps in ["+-", "++-+--", "+++---"]:
         calls.clear()
         build(sig(eps))
         assert len(calls) == 1
+
+
+def test_forest_suite_checks_each_signature_once_per_forest(monkeypatch):
+    """One check per forest built: 1,630 from ``from_network`` plus one
+    per signature each from ``enumerate_forests`` and
+    ``max_network_permutation``."""
+    calls = []
+    check = forest.check_forest_signature
+    monkeypatch.setattr(forest, "check_forest_signature",
+                        lambda eps: calls.append(eps) or check(eps))
+    results = checks.run_suite("forest", bound=6)
+    assert all(r.passed for r in results)
+    assert len(calls) == 1630 + 31 + 31

@@ -224,6 +224,11 @@ class TestEnumerate:
         nets = network.enumerate_networks(4, eps)
         assert len(nets) == 14
 
+    def test_compatible_rejects_signature_of_other_length(self):
+        net = network.validate(2, [(1, 2)])
+        assert network.compatible(net, (1, -1))
+        assert not network.compatible(net, (1, 0, -1))
+
     def test_cap(self):
         with pytest.raises(NetworkError):
             network.enumerate_networks(9, cap=8)

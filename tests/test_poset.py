@@ -67,6 +67,10 @@ def chains_permute_interval(lat, x, y):
     )
 
 
+# Intervals [x, y] with x <= y in the lattice of each signature.
+INTERVALS = {"++--": 66, "+-+-": 27, "++-+--": 3009, "+++---": 5976}
+
+
 def intervals(lat):
     return [(x, y) for x in range(len(lat.elements)) for y in poset._bits(lat.up_masks[x])]
 
@@ -372,6 +376,10 @@ class TestCrossingInterval:
     def test_snelling(self, lat4, top):
         assert lat4.snelling_check(lat4.bottom, top)
 
+    def test_interval_needs_x_below_y(self, lat4, top):
+        with pytest.raises(poset.LatticeError, match="x not below y"):
+            lat4.mobius_recursive(top, lat4.bottom)
+
 
 def with_covers(lat, up_adj):
     """``lat`` with its covers replaced and its order rebuilt from them."""
@@ -440,13 +448,9 @@ class TestChainsAndMobius:
 
     @pytest.mark.parametrize("eps", ["++--", "+-+-", "++-+--", "+++---"])
     def test_closed_form_matches_recursion(self, eps):
-        lat = build_lattice(sig(eps))
-        for x, y in intervals(lat):
-            mu = lat.mobius_recursive(x, y)
-            assert mu == lat.mobius_closed(x, y)
-            assert mu in (-1, 0, 1)
-            sign = -1 if (lat.ranks[y] - lat.ranks[x]) % 2 else 1
-            assert sign * mu == lat.decreasing_chain_count(x, y)
+        [result] = checks.check_mobius(build_lattice(sig(eps)))
+        assert result.passed
+        assert result.detail.endswith(f" on {INTERVALS[eps]} intervals")
 
     def test_closed_form_matches_recursion_length_seven(self):
         results = checks.run_suite("mobius", bound=7)
@@ -473,11 +477,9 @@ class TestChainsAndMobius:
 
     @pytest.mark.parametrize("eps", ["++--", "+-+-", "++-+--"])
     def test_el_property_all_intervals(self, eps):
-        lat = build_lattice(sig(eps))
-        for x, y in intervals(lat):
-            assert lat.rising_chains(x, y) == 1
-            assert rises(lat.lex_least_labels(x, y))
-            assert lat.snelling_check(x, y)
+        [result] = checks.check_el(build_lattice(sig(eps)))
+        assert result.passed
+        assert result.detail.endswith(f" on {INTERVALS[eps]} intervals")
 
     @pytest.mark.parametrize("eps", ["++--", "+-+-", "++-+--", "+++---"])
     def test_chain_pass_matches_chain_oracle(self, eps):
@@ -504,11 +506,6 @@ class TestChainsAndMobius:
 
 
 class TestBooleanCheck:
-    def test_worked_values(self):
-        assert poset.boolean_check(sig("+-+-")) is True
-        assert poset.boolean_check(sig("++--")) is False
-        assert poset.boolean_check(sig("+-")) is True
-
     def test_boolean_lattice_size(self):
         lat = build_lattice(sig("+-+-"))
         assert len(lat.elements) == 8  # three independent edges
