@@ -237,13 +237,12 @@ def cmd_render(args, out, caps) -> int:
             out.write(network.format_network(net) + "\n")
     elif source == "polyomino":
         poly = diagram.polyomino_from_json(args.polyomino)
-        lp = diagram.label_polyomino(poly) if poly.cells else None
         if args.format == "json":
             out.write(diagram.polyomino_to_json(poly) + "\n")
-        elif args.format == "cells":
-            out.write(diagram.cell_dump(poly, lp) + "\n")
-        else:
-            out.write(diagram.render_polyomino(poly, lp) + "\n")
+        else:  # only the drawings need labels
+            lp = diagram.label_polyomino(poly) if poly.cells else None
+            draw = diagram.cell_dump if args.format == "cells" else diagram.render_polyomino
+            out.write(draw(poly, lp) + "\n")
     else:
         f = forest.forest_from_json(args.forest)
         if args.format == "json":

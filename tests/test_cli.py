@@ -145,6 +145,12 @@ class TestVerify:
         code, _ = run("verify", "--suite", "nonsense")
         assert code == 2
 
+    def test_unknown_suite_raises(self):
+        from permnet import checks
+
+        with pytest.raises(ValueError, match="unknown suite: nonsense"):
+            checks.run_suite("nonsense")
+
     def test_all_suites_build_each_lattice_once(self, monkeypatch):
         from permnet import network, poset
 
@@ -172,6 +178,15 @@ class TestReports:
         assert code == 0
         assert "W(++---) = 1 + 6 q + 12 q^2 + 13 q^3 + 9 q^4 + 4 q^5 + q^6" in text
         assert "coeffs=[1, 6, 12, 13, 9, 4, 1]" in text
+
+    def test_whitney_routes_that_disagree_fail(self, monkeypatch, capsys):
+        from permnet import poset
+
+        monkeypatch.setattr(poset, "whitney_recurrence", lambda eps: (1,))
+        assert run("whitney", "--eps", "++--") == (
+            1, "FAIL recurrence disagrees with direct count\n"
+        )
+        assert capsys.readouterr().err == ""
 
     def test_whitney_strips_neutral_points_with_notice(self):
         code, text = run("whitney", "--eps", "+0+--")
@@ -239,6 +254,20 @@ class TestRender:
         assert (code, text) == (0, '{"n": 2, "edges": [[1, 2]]}\n')
         assert run("render", "--network", text.strip()) == (3, "")
         assert "cannot parse network text" in capsys.readouterr().err
+
+    def test_polyomino_json_is_not_labeled(self, capsys):
+        """JSON writes no labels, so a diagram the labeler refuses still
+        prints its sorted cells; the drawings still refuse it."""
+        value = json.dumps({"cells": [[1, 1], [2, 2], [1, 3]]})
+        assert run("render", "--polyomino", value, "--format", "json") == (
+            0, '{"cells": [[1, 1], [1, 3], [2, 2]]}\n'
+        )
+        assert run("render", "--polyomino", value, "--format", "text") == (3, "")
+        assert "invalid input: row 1 is not contiguous" in capsys.readouterr().err
+
+    def test_polyomino_cell_not_positive_exits_invalid(self, capsys):
+        assert run("render", "--polyomino", '{"cells":[[0,1]]}') == (3, "")
+        assert "cell (0, 1) not positive" in capsys.readouterr().err
 
     def test_polyomino_cell_dump(self):
         value = json.dumps({"cells": [[1, 1]]})
@@ -342,6 +371,11 @@ class TestMalformedText:
         assert code == 3
         assert text == ""
         assert "invalid input" in capsys.readouterr().err
+
+    def test_truncated_network_text_exits_invalid(self, capsys):
+        code, text = run("convert", "--from", "network", "--to", "perm", "n=3; edges=(1,2),(3")
+        assert (code, text) == (3, "")
+        assert "cannot parse network text" in capsys.readouterr().err
 
     def test_stray_signature_letter_exits_invalid(self, capsys):
         code, text = run("whitney", "--eps", "++x--")

@@ -7,13 +7,25 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from permnet import checks, forest, network, perm
+from permnet import checks, forest, network, perm, poset
 from permnet.forest import ForestError
 from permnet.network import parse_signature
 
 
 def sig(text):
     return parse_signature(text)
+
+
+FORESTS = {"+-": 2, "++--": 14, "+-+-": 8, "++-+--": 152, "+++---": 230}
+
+
+def assert_forest_permutations(eps):
+    """``checks.check_forest``'s strand, leaf-vs-strands and swap-length
+    steps pass on every forest of ``eps``."""
+    [_, result] = checks.check_forest(poset.build_lattice(sig(eps)))
+    assert result.name == "forest-permutations"
+    assert result.passed, result.line()
+    assert result.detail.endswith(f" on {FORESTS[eps]} forests")
 
 
 class TestShape:
@@ -150,12 +162,7 @@ class TestStrandPermutation:
 
     @pytest.mark.parametrize("eps", ["+-", "++--", "+-+-", "++-+--", "+++---"])
     def test_inverts_network_permutation(self, eps):
-        e = sig(eps)
-        for f in forest.enumerate_forests(e):
-            net = forest.to_network(f)
-            assert forest.strand_permutation(f) == perm.inverse(
-                network.to_permutation(net)
-            )
+        assert_forest_permutations(eps)
 
 
 def leaf_orders(marks):
@@ -225,12 +232,7 @@ class TestLeafDeletion:
 
     @pytest.mark.parametrize("eps", ["+-", "++--", "+-+-", "++-+--"])
     def test_leaf_word_inverts_product(self, eps):
-        e = sig(eps)
-        base = forest.max_network_permutation(e)
-        for f in forest.enumerate_forests(e):
-            kt = forest.strand_permutation(f, resolve_crossings=False)
-            product = perm.compose(kt, perm.inverse(base))
-            assert forest.leaf_deletion_permutation(f) == perm.inverse(product)
+        assert_forest_permutations(eps)
 
 
 def swap_distance(f):
@@ -251,8 +253,7 @@ class TestSwapLengthIdentity:
 
     @pytest.mark.parametrize("eps", ["+-", "++--", "+-+-"])
     def test_all_forests(self, eps):
-        for f in forest.enumerate_forests(sig(eps)):
-            assert f.size == swap_distance(f)
+        assert_forest_permutations(eps)
 
 
 class TestGeneratingFunction:

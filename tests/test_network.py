@@ -2,12 +2,13 @@ from __future__ import annotations
 
 import tracemalloc
 from itertools import combinations, permutations, product
+from math import factorial
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from permnet import network, perm
+from permnet import checks, network, perm
 from permnet.network import (
     ERR_COMPLETION,
     ERR_DIRECTION,
@@ -115,13 +116,15 @@ class TestPermutationMaps:
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_word_round_trip(self, n):
-        for w in permutations(range(1, n + 1)):
-            assert network.to_permutation(network.from_permutation(w)) == w
+        result = {r.name: r for r in checks.check_bijection(n)}["word-round-trip"]
+        assert result.passed
+        assert result.detail.endswith(f" on all {factorial(n)} words")
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_network_round_trip(self, n, networks_by_degree):
-        for net in networks_by_degree[n]:
-            assert network.from_permutation(network.to_permutation(net)) == net
+        result = {r.name: r for r in checks.check_bijection(n)}["network-round-trip"]
+        assert result.passed
+        assert result.detail.endswith(f" on all {len(networks_by_degree[n])} networks")
 
     def test_injective_on_enumeration(self, networks_by_degree):
         for n in range(1, 7):
@@ -188,6 +191,11 @@ class TestSignature:
         with pytest.raises(NetworkError):
             network.parse_signature("0-+")
 
+    def test_entry_outside_range(self):
+        with pytest.raises(NetworkError) as exc:
+            network.check_signature((2,))
+        assert exc.value.code == ERR_RANGE
+
     def test_strip_neutral(self):
         assert network.strip_neutral((1, 0, -1, 0)) == (1, -1)
 
@@ -200,6 +208,10 @@ class TestEnumerate:
     @pytest.mark.parametrize("n,count", [(1, 1), (2, 2), (3, 6), (4, 24)])
     def test_factorial_counts(self, n, count):
         assert len(network.enumerate_networks(n)) == count
+
+    def test_signature_of_another_length(self):
+        with pytest.raises(NetworkError, match="signature length 2 != n=3"):
+            network.enumerate_networks(3, (1, -1))
 
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_matches_brute_force(self, n):

@@ -125,6 +125,10 @@ class TestSwapLength:
         # nothing reaches below the base in the cover direction
         assert perm.swap_length((1, 2, 3), (3, 2, 1)) is None
 
+    def test_degree_mismatch(self):
+        with pytest.raises(perm.PermError, match="degree mismatch"):
+            perm.swap_length((1, 2), (1, 2, 3))
+
     def test_levels_cache_is_bounded(self):
         for base in permutations(range(1, 5)):
             perm.swap_levels(base)
