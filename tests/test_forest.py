@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from functools import cache
 from itertools import permutations
 
 import pytest
@@ -19,10 +20,17 @@ def sig(text):
 FORESTS = {"+-": 2, "++--": 14, "+-+-": 8, "++-+--": 152, "+++---": 230}
 
 
-def assert_forest_permutations(eps):
-    """``checks.check_forest``'s strand, leaf-vs-strands and swap-length
-    steps pass on every forest of ``eps``."""
+@cache
+def forest_permutations(eps):
+    """``checks.check_forest``'s one result for the strand, leaf-vs-strands
+    and swap-length steps on ``eps``, run once per signature for the three
+    tests that name those identities."""
     [_, result] = checks.check_forest(poset.build_lattice(sig(eps)))
+    return result
+
+
+def assert_forest_permutations(eps):
+    result = forest_permutations(eps)
     assert result.name == "forest-permutations"
     assert result.passed, result.line()
     assert result.detail.endswith(f" on {FORESTS[eps]} forests")

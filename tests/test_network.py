@@ -91,6 +91,13 @@ class TestEdgeOrder:
         assert network.edge_order(net) == ((1, 2), (3, 4))
 
 
+@pytest.fixture(scope="module")
+def bijection():
+    """``checks.check_bijection``'s results by name, for n = 1..6, each
+    degree run once."""
+    return {n: {r.name: r for r in checks.check_bijection(n)} for n in range(1, 7)}
+
+
 class TestPermutationMaps:
     def test_to_permutation_worked_example(self):
         net = network.validate(4, [(2, 3), (1, 3), (2, 4), (1, 4)])
@@ -115,16 +122,20 @@ class TestPermutationMaps:
         assert len(set(nets)) == 24
 
     @pytest.mark.parametrize("n", range(1, 7))
-    def test_word_round_trip(self, n):
-        result = {r.name: r for r in checks.check_bijection(n)}["word-round-trip"]
+    def test_word_round_trip(self, n, bijection):
+        result = bijection[n]["word-round-trip"]
         assert result.passed
         assert result.detail.endswith(f" on all {factorial(n)} words")
 
     @pytest.mark.parametrize("n", range(1, 7))
-    def test_network_round_trip(self, n, networks_by_degree):
-        result = {r.name: r for r in checks.check_bijection(n)}["network-round-trip"]
+    def test_network_round_trip(self, n, bijection, networks_by_degree):
+        """The check's round trip runs over the networks of words; the
+        enumerated networks are walked here, so a wrong enumeration fails."""
+        result = bijection[n]["network-round-trip"]
         assert result.passed
         assert result.detail.endswith(f" on all {len(networks_by_degree[n])} networks")
+        for net in networks_by_degree[n]:
+            assert network.from_permutation(network.to_permutation(net)) == net
 
     def test_injective_on_enumeration(self, networks_by_degree):
         for n in range(1, 7):
