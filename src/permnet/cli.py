@@ -152,7 +152,10 @@ def cmd_enumerate(args, out, caps) -> int:
         raise CliError(f"n={n} is negative", EXIT_USAGE)
     if n > caps["max_n"]:
         raise CliError(f"n={n} exceeds cap {caps['max_n']}", EXIT_USAGE)
-    nets = network.enumerate_networks(n, eps, cap=caps["max_n"])
+    if eps is None:  # the word scan is the bijection itself
+        nets = network.enumerate_networks(n, cap=caps["max_n"])
+    else:
+        nets = poset.signature_networks(eps)
     for net in nets:
         out.write(network.format_network(net) + "\n")
     out.write(f"total={len(nets)}\n")

@@ -538,7 +538,9 @@ def polyomino_to_json(poly: Polyomino) -> str:
 def polyomino_from_json(text: str) -> Polyomino:
     try:
         obj = json.loads(text)
-        cells = [tuple(int(v) for v in c) for c in obj["cells"]]
+        cells = [tuple(c) for c in obj["cells"]]
+        if not all(type(v) is int for c in cells for v in c):  # no bool, float or str
+            raise TypeError("cell coordinates must be integers")
     except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
         raise PolyominoError(COND_EMPTY, f"cannot parse polyomino json: {text!r}") from exc
     return polyomino(cells)

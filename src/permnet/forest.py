@@ -379,7 +379,9 @@ def forest_from_json(text: str) -> Forest:
     try:
         obj = json.loads(text)
         eps = parse_signature(obj["epsilon"])
-        pts = [tuple(int(v) for v in c) for c in obj["pointed"]]
+        pts = [tuple(c) for c in obj["pointed"]]
+        if not all(type(v) is int for c in pts for v in c):  # no bool, float or str
+            raise TypeError("mark coordinates must be integers")
     except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
         raise ForestError(f"cannot parse forest json: {text!r}") from exc
     return make_forest(eps, pts)

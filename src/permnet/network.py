@@ -217,7 +217,10 @@ def parse_signature(text: str) -> Signature:
     s = text.strip()
     try:
         if "1" in s or "," in s:
-            vals = [int(t) for t in s.replace(" ", "").split(",") if t]
+            tokens = [t for t in s.replace(" ", "").split(",") if t]
+            if not all(t.isascii() and t.lstrip("+-").isdigit() for t in tokens):
+                raise ValueError
+            vals = [int(t) for t in tokens]
         else:
             vals = [{"+": 1, "-": -1, "0": 0}[c] for c in s if not c.isspace()]
     except (ValueError, KeyError):
@@ -270,7 +273,10 @@ def enumerate_networks(
     Networks that do not fit ``eps`` are dropped as they are made, so peak
     memory scales with the networks kept, not with n!.  Fitting ``eps`` is
     one subset test against its allowed pairs, computed once: O(E) per
-    network.  Returns a canonically sorted list.
+    network.  Returns a canonically sorted list.  ``poset.signature_networks``
+    lists one signature's networks without the scan; the ``eps`` branch
+    stays as the reference the tests hold that walk to, and for
+    ``poset.build_lattice``.
     """
     if n > cap:
         raise NetworkError(ERR_RANGE, f"n={n} exceeds enumeration cap {cap}")
@@ -301,6 +307,10 @@ def sorted_edges(net: Network) -> tuple[Edge, ...]:
 
 # -- serialization -----------------------------------------------------------
 
+# An edge list less its ASCII digits and spaces must read (,),(,),...
+_SKELETON = str.maketrans("", "", "0123456789 \t\n\r\f\v")
+_NO_PARENS = str.maketrans("", "", "()")
+
 
 def format_network(net: Network) -> str:
     body = ",".join(f"({i},{j})" for i, j in sorted_edges(net))
@@ -308,20 +318,23 @@ def format_network(net: Network) -> str:
 
 
 def parse_network(text: str) -> Network:
+    """Reads ``format_network``'s text: ``n=<int>; edges=`` and then exact
+    ``(i,j)`` pairs, comma-separated, with spaces allowed between tokens.
+    Numbers are ASCII digits."""
     s = text.strip()
     try:
         left, right = s.split(";", 1)
-        n = int(left.split("=", 1)[1])
-        body = right.split("=", 1)[1].strip()
-        edges = []
-        if body:
-            for part in body.replace("(", " ").replace(")", " ").split(","):
-                part = part.strip()
-                if part:
-                    edges.append(int(part))
-        pairs = list(zip(edges[0::2], edges[1::2]))
-        if len(edges) % 2:
-            raise ValueError("odd endpoint count")
+        n_text = left.split("=", 1)[1].strip()
+        body = right.split("=", 1)[1]
+        skeleton = body.translate(_SKELETON)
+        if not (n_text.isascii() and n_text.isdigit()) or (
+                skeleton != ",".join(["(,)"] * skeleton.count("("))):
+            raise ValueError("not n=<int>; edges=(i,j),...")
+        n = int(n_text)
+        # So the body less its parentheses is i,j,i,j,...; int() refuses
+        # an empty number or one with a space inside.
+        ends = list(map(int, body.translate(_NO_PARENS).split(","))) if skeleton else []
+        pairs = list(zip(ends[0::2], ends[1::2]))
     except (ValueError, IndexError) as exc:
         raise NetworkError(ERR_RANGE, f"cannot parse network text: {s!r}") from exc
     return validate(n, pairs)

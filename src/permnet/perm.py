@@ -54,12 +54,15 @@ def compose(u: Sequence[int], v: Sequence[int]) -> Word:
 
 
 def parse_word(text: str) -> Word:
+    """Entries are ASCII digits: ``int`` alone would also take signs,
+    underscores and other scripts' digits."""
     s = text.strip()
+    tokens = [t.strip() for t in s.split(",")] if "," in s else [
+        ch for ch in s if not ch.isspace()]
     try:
-        if "," in s:
-            vals = [int(t) for t in s.split(",")]
-        else:
-            vals = [int(ch) for ch in s if not ch.isspace()]
+        if not all(t.isascii() and t.isdigit() for t in tokens):
+            raise ValueError
+        vals = [int(t) for t in tokens]
     except ValueError:
         raise PermError(f"cannot parse permutation: {s!r}") from None
     return check_word(vals)

@@ -9,8 +9,9 @@ Covers are the masks one bit apart, labeled by their new edge; meet is
 of the fullest network's edges, holds per edge bit the masks ``into``
 and ``out`` that force it.  It serves the join (``|`` plus one forcing
 pass), the Mobius closed form (mu(x, y) is 0 unless x holds every edge
-the table forces in y, else (-1) to the rank difference) and the direct
-Whitney count, a walk over int masks.  One forcing pass closes a
+the table forces in y, else (-1) to the rank difference) and the walk
+over int masks that lists a signature's networks for the direct
+Whitney count and ``signature_networks``.  One forcing pass closes a
 union, since forced edges force nothing new: (j, k) is forced when the
 smallest source into k lies below j and the largest sink out of j lies
 above k, and adding (j, k) moves neither of those two tables.  One
@@ -332,29 +333,43 @@ def poly_format(coeffs: Sequence[int]) -> str:
     return " + ".join(terms) if terms else "0"
 
 
+def _closed_masks(table: Sequence[tuple[int, int]]) -> list[int]:
+    """Every edge mask closed under a ``_forcing_table``: the networks
+    fitting its signature.  Bits are decided from the highest down (sink
+    descending, then source ascending), so both edges that force (j, k)
+    are decided first and its own table entry tells whether it is forced.
+    Each pass extends every partial mask by bit b, and also keeps it
+    without b unless b is forced."""
+    masks = [0]
+    for b in reversed(range(len(table))):
+        into, out = table[b]
+        bit = 1 << b
+        masks = [m | bit for m in masks] + [m for m in masks if not (m & into and m & out)]
+    return masks
+
+
 def whitney_direct(eps: Sequence[int]) -> tuple[int, ...]:
     """Rank counts of the network lattice, from the definition: the
     networks fitting ``eps`` are the subsets of the fullest network's
-    edges closed under the forcing table.  A depth-first walk over int
-    masks decides bits from the highest down (sink descending, then
-    source ascending), so both edges that force (j, k) come first and its
-    own table entry tells whether it is forced.  A forced edge is taken,
-    any other is branched on; each leaf is a network."""
+    edges closed under the forcing table, listed by ``_closed_masks``."""
     eps = strip_neutral(check_signature(eps))
     table = _forcing_table(sorted(max_network(eps).edges, key=label_key))
     counts = [0] * (len(table) + 1)
-
-    def walk(b: int, chosen: int, rank: int) -> None:
-        if b < 0:
-            counts[rank] += 1
-            return
-        into, out = table[b]
-        if not (chosen & into and chosen & out):
-            walk(b - 1, chosen, rank)
-        walk(b - 1, chosen | 1 << b, rank + 1)
-
-    walk(len(table) - 1, 0, 0)
+    for m in _closed_masks(table):
+        counts[m.bit_count()] += 1
     return tuple(counts)
+
+
+def signature_networks(eps: Sequence[int]) -> list[Network]:
+    """All networks fitting ``eps``, on its own points (neutral points
+    kept, and touched by no edge), from the closed masks of its forcing
+    table: no word is peeled.  Sorted as ``enumerate_networks`` sorts
+    them, by rank and then by the edges in label order."""
+    eps = check_signature(eps)
+    labels = sorted(max_network(eps).edges, key=label_key)
+    keyed = sorted((m.bit_count(), tuple(labels[b] for b in _bits(m)))
+                   for m in _closed_masks(_forcing_table(labels)))
+    return [Network(len(eps), frozenset(edges)) for _, edges in keyed]
 
 
 @lru_cache(maxsize=None)

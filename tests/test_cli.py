@@ -91,6 +91,12 @@ class TestConvert:
         assert run("convert", "--from", "perm", "--to", "forest", "1,3,2") == (3, "")
         assert "network has neutral points" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("mark", [[1, 1.7], [1, "1"], [True, 1], "11"])
+    def test_forest_coordinate_that_is_not_an_int_exits_invalid(self, mark, capsys):
+        value = json.dumps({"epsilon": "++--", "pointed": [mark]})
+        assert run("convert", "--from", "forest", "--to", "network", value) == (3, "")
+        assert "cannot parse forest json" in capsys.readouterr().err
+
     def test_forest_cell_with_three_coordinates_exits_invalid(self, capsys):
         value = json.dumps({"epsilon": "+ -", "pointed": [[1, 1, 1]]})
         assert run("convert", "--from", "forest", "--to", "perm", value) == (3, "")
@@ -108,6 +114,19 @@ class TestEnumerate:
         assert code == 0
         assert text.strip().splitlines()[-1] == "total=14"
         assert run("enumerate", "--eps", "") == (0, "n=0; edges=\ntotal=1\n")
+
+    def test_signature_walk_peels_no_words(self, monkeypatch):
+        """``--eps`` walks the forcing table; ``--n`` still scans words."""
+        from permnet import network
+
+        calls, original = [], network.from_permutation
+        monkeypatch.setattr(network, "from_permutation", lambda w: calls.append(w) or original(w))
+        code, text = run("enumerate", "--eps", "++++----")
+        assert code == 0
+        assert text.splitlines()[-1] == "total=6902"
+        assert calls == []
+        assert run("enumerate", "--n", "4")[1].splitlines()[-1] == "total=24"
+        assert len(calls) == 24
 
     def test_cap(self):
         code, _ = run("enumerate", "--n", "12")
@@ -269,6 +288,12 @@ class TestRender:
         assert run("render", "--polyomino", '{"cells":[[0,1]]}') == (3, "")
         assert "cell (0, 1) not positive" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("cell", [[1, " 2 "], [1, 1.9], [True, 3], "12"])
+    def test_polyomino_coordinate_that_is_not_an_int_exits_invalid(self, cell, capsys):
+        value = json.dumps({"cells": [[1, 1], cell]})
+        assert run("render", "--polyomino", value, "--format", "json") == (3, "")
+        assert "cannot parse polyomino json" in capsys.readouterr().err
+
     def test_polyomino_cell_dump(self):
         value = json.dumps({"cells": [[1, 1]]})
         code, text = run("render", "--polyomino", value, "--format", "cells")
@@ -376,6 +401,16 @@ class TestMalformedText:
         code, text = run("convert", "--from", "network", "--to", "perm", "n=3; edges=(1,2),(3")
         assert (code, text) == (3, "")
         assert "cannot parse network text" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv,message", [
+        (("convert", "--from", "perm", "--to", "network", "\uff12,\uff11"), "cannot parse permutation"),
+        (("whitney", "--eps", "1,\uff11,-1,-1"), "cannot parse signature"),
+        (("convert", "--from", "network", "--to", "perm", "n=\uff14; edges=(1,2)"),
+         "cannot parse network text"),
+    ])
+    def test_non_ascii_digit_exits_invalid(self, argv, message, capsys):
+        assert run(*argv) == (3, "")
+        assert message in capsys.readouterr().err
 
     def test_stray_signature_letter_exits_invalid(self, capsys):
         code, text = run("whitney", "--eps", "++x--")

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from permnet import checks, network, perm
+from permnet import checks, network, perm, poset
 from permnet.network import (
     ERR_COMPLETION,
     ERR_DIRECTION,
@@ -258,10 +258,13 @@ class TestEnumerate:
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_signature_filter_matches_pointwise_definition(self, n):
+        """The word scan's filter and the forcing-table walk, neutral
+        points included, each give the fitting networks in order."""
         nets = network.enumerate_networks(n)
         for eps in all_signatures(n):
             fitting = [net for net in nets if fits(net, eps)]
             assert network.enumerate_networks(n, eps) == fitting
+            assert poset.signature_networks(eps) == fitting
 
     def test_compatible_matches_pointwise_definition(self, networks_by_degree):
         for n in range(1, 6):
@@ -293,6 +296,26 @@ class TestTextFormats:
 
     def test_parse_empty_edges(self):
         assert network.parse_network("n=3; edges=").rank == 0
+
+    def test_parse_round_trip_at_degree_128(self):
+        n, h = 128, 64
+        net = network.from_permutation(tuple(range(h + 1, n + 1)) + tuple(range(1, h + 1)))
+        assert net.rank == h * h
+        assert network.parse_network(network.format_network(net)) == net
+
+    def test_parse_allows_spaces_between_tokens(self):
+        text = " n = 4 ;  edges= ( 2 , 3 ) , (1,3) "
+        assert network.parse_network(text) == network.validate(4, [(1, 3), (2, 3)])
+
+    @pytest.mark.parametrize("text", [
+        "n=4; edges=(1,2,3,4)", "n=4; edges=1,3", "n=4; edges=((1,3))", "n=4; edges=(1,3),",
+        "n=4; edges=(1,3)(2,3)", "n=4; edges=(1 3)", "n=4; edges=(1 2,3)", "n=4; edges=( , )",
+        "n=4; edges=(+1,3)", "n=\uff14; edges=(1,2)",
+        "n=4; edges=(1,\uff12)", "n=-1; edges=",
+    ])
+    def test_parse_takes_exact_pairs_of_ascii_digits(self, text):
+        with pytest.raises(NetworkError, match="cannot parse network text"):
+            network.parse_network(text)
 
 
 # -- the crossing primitive ----------------------------------------------------
@@ -424,6 +447,12 @@ def test_signature_with_stray_sign_is_network_error():
     with pytest.raises(NetworkError) as exc:
         network.parse_signature("+1-")
     assert exc.value.code == ERR_RANGE
+
+
+@pytest.mark.parametrize("text", ["1,\uff11,-1,-1", "1,1,-\uff11", "1,1_0,-1"])
+def test_signature_entries_are_ascii_digits(text):
+    with pytest.raises(NetworkError, match="cannot parse signature"):
+        network.parse_signature(text)
 
 
 def test_signature_with_stray_letter_is_network_error():

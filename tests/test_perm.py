@@ -70,6 +70,11 @@ class TestTextFormat:
     def test_parse(self, text, expected):
         assert perm.parse_word(text) == expected
 
+    @pytest.mark.parametrize("text", ["\uff12,\uff11", "\u0662\u0661", "+2,1", "1_0,1"])
+    def test_parse_takes_ascii_digits_only(self, text):
+        with pytest.raises(perm.PermError, match="cannot parse permutation"):
+            perm.parse_word(text)
+
     def test_canonical_output_is_comma_separated(self):
         assert perm.format_word((3, 4, 1, 2)) == "3,4,1,2"
 

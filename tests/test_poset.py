@@ -255,12 +255,19 @@ class TestWhitney:
             assert direct == forest.generating_function(eps)
 
     def test_word_scan_matches_direct_count_length_eight(self):
-        # A shorter signature's networks are those on 8 points inside its top.
+        """The one cross-check of the forcing-table walk against the word
+        scan at length 8: rank counts, and the network list element by
+        element.  A shorter signature's networks are those on 8 points
+        inside its top."""
         nets = network.enumerate_networks(8)
         for eps in checks.signatures_up_to(8):
             top = network.max_network(eps).edges
-            ranks = [net.rank for net in nets if net.edges <= top]
+            scanned = [net.edges for net in nets if net.edges <= top]
+            ranks = [len(edges) for edges in scanned]
             assert poset.whitney_direct(eps) == tuple(ranks.count(r) for r in range(len(top) + 1))
+            walked = poset.signature_networks(eps)
+            assert {net.n for net in walked} == {len(eps)}
+            assert [net.edges for net in walked] == scanned
 
     def test_direct_count_peels_no_words_past_length_eight(self, monkeypatch):
         calls, original = [], network.from_permutation
