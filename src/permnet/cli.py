@@ -100,6 +100,10 @@ def cmd_convert(args, out, caps) -> int:
     if src == "perm":
         word = perm.parse_word(value)
         _check_degree(len(word))
+        if dst == "polyomino":  # the network round trip is the identity
+            poly = diagram.rothe_diagram(perm.inverse(word))
+            out.write(diagram.polyomino_to_json(poly) + "\n")
+            return EXIT_OK
         net = network.from_permutation(word)
     elif src == "network":
         net = network.parse_network(value)
@@ -243,6 +247,11 @@ def cmd_render(args, out, caps) -> int:
         if args.format == "json":
             out.write(diagram.polyomino_to_json(poly) + "\n")
         else:  # only the drawings need labels
+            if args.format == "text":  # the grid spans every row and column up to the cells
+                far = max((max(cell) for cell in poly.cells), default=0)
+                if far > HARD_MAX_CONVERT_N:
+                    raise CliError(f"cell coordinate {far} exceeds the render limit "
+                                   f"{HARD_MAX_CONVERT_N}", EXIT_USAGE)
             lp = diagram.label_polyomino(poly) if poly.cells else None
             draw = diagram.cell_dump if args.format == "cells" else diagram.render_polyomino
             out.write(draw(poly, lp) + "\n")

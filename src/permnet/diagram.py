@@ -7,17 +7,18 @@ such a diagram encodes a permutation (``polyomino_permutation``) and an
 edge set (``polyomino_edges``) obtained by repeatedly stripping the
 boundary ribbon.
 
-Rothe diagrams are handled on one-line words directly: ``rothe_cells``
-lists the inversion cells, ``rothe_diagram`` compacts away empty rows and
-columns, and ``rothe_step``/``rothe_edges`` reduce the word down to the
-identity, emitting the edge set of the inverse word's network.
+Rothe diagrams are handled on one-line words directly: ``rothe_diagram``
+lists the inversion cells with empty rows and columns compacted away,
+and ``rothe_step``/``rothe_edges`` reduce the word down to the identity,
+emitting the edge set of the inverse word's network.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from itertools import accumulate
+from typing import Optional, Sequence
 
 from .perm import Word, check_word
 from .network import Edge
@@ -40,10 +41,12 @@ class PolyominoError(ValueError):
 
 @dataclass(frozen=True)
 class Polyomino:
+    """Takes any iterable of (row, col) pairs and freezes it once."""
+
     cells: frozenset[Cell]
 
     def __post_init__(self):
-        object.__setattr__(self, "cells", frozenset(tuple(c) for c in self.cells))
+        object.__setattr__(self, "cells", frozenset(map(tuple, self.cells)))
         for r, c in self.cells:
             if r < 1 or c < 1:
                 raise PolyominoError(COND_EMPTY, f"cell {(r, c)} not positive")
@@ -63,10 +66,6 @@ class Polyomino:
                         todo.remove(nb)
                         stack.append(nb)
         return count
-
-
-def polyomino(cells: Iterable[Cell]) -> Polyomino:
-    return Polyomino(cells=frozenset(tuple(c) for c in cells))
 
 
 def _rows(cells: frozenset[Cell]) -> dict[int, list[int]]:
@@ -233,7 +232,7 @@ def label_polyomino(poly: Polyomino) -> LabeledPolyomino:
     used_cols = sorted({c for _r, c in poly.cells})
     cmap = {c: i for i, c in enumerate(used_cols, start=1)}
     back = {i: c for c, i in cmap.items()}
-    compacted = Polyomino(cells=frozenset((r, cmap[c]) for r, c in poly.cells))
+    compacted = Polyomino((r, cmap[c]) for r, c in poly.cells)
     word, slots = _build_word_and_labels(compacted)
 
     def lift(value: int, ambient_col: int) -> int:
@@ -379,10 +378,10 @@ def peel_step(lp: LabeledPolyomino) -> tuple[frozenset[Edge], Polyomino]:
     edges = {(lp.south[cell], top_label) for cell in bottoms}
     edges |= {(lp.south[cell], top_label) for cell in extra}
     remaining = cells - ribbon_set - set(extra)
-    shifted = frozenset(
+    shifted = Polyomino(
         (r, c + 1) if r >= start[0] else (r, c) for r, c in remaining
     )
-    return frozenset(edges), Polyomino(cells=shifted)
+    return frozenset(edges), shifted
 
 
 def polyomino_edges(poly: Polyomino) -> frozenset[Edge]:
@@ -412,32 +411,34 @@ def peel_edges(poly: Polyomino) -> frozenset[Edge]:
 # -- Rothe diagrams ----------------------------------------------------------
 
 
-def rothe_cells(word: Sequence[int]) -> frozenset[Cell]:
-    """Inversion cells: (i, j) with word[i] > j and value j placed after i."""
-    w = check_word(word)
-    inv = {v: p for p, v in enumerate(w, start=1)}
-    return frozenset(
-        (i, j)
-        for i, v in enumerate(w, start=1)
-        for j in range(1, v)
-        if inv[j] > i
-    )
-
-
-def _compact_maps(cells: frozenset[Cell]) -> tuple[dict[int, int], dict[int, int]]:
-    used_rows = sorted({r for r, _ in cells})
-    used_cols = sorted({c for _, c in cells})
-    return (
-        {r: i for i, r in enumerate(used_rows, start=1)},
-        {c: i for i, c in enumerate(used_cols, start=1)},
-    )
-
-
 def rothe_diagram(word: Sequence[int]) -> Polyomino:
-    """The word's inversion diagram with empty rows and columns removed."""
-    cells = rothe_cells(word)
-    rmap, cmap = _compact_maps(cells)
-    return Polyomino(cells=frozenset((rmap[r], cmap[c]) for r, c in cells))
+    """The word's inversion diagram with empty rows and columns removed.
+
+    Cell (i, j) is an inversion when word[i] > j and value j sits right
+    of position i.  Row i is empty when no smaller value sits right of
+    it (a suffix minimum) and column j when no larger value sits left of
+    it (a prefix maximum), so the compacted coordinates are running
+    counts of the non-empty ones, found in O(n) before the one pass over
+    the cells.
+    """
+    w = check_word(word)
+    n = len(w)
+    pos = [0] * (n + 1)
+    for p, v in enumerate(w, start=1):
+        pos[v] = p
+    keep_row = [False] * (n + 1)
+    low = n + 1
+    for i in range(n, 0, -1):
+        if w[i - 1] > low:
+            keep_row[i] = True
+        else:
+            low = w[i - 1]
+    high = list(accumulate(w, max, initial=0))  # high[p]: max of the first p
+    row = list(accumulate(keep_row))
+    col = list(accumulate([False] + [high[pos[j] - 1] > j for j in range(1, n + 1)]))
+    return Polyomino(
+        (row[i], col[j]) for i, v in enumerate(w, start=1) for j in range(1, v) if pos[j] > i
+    )
 
 
 def _active_top(w: Word) -> int:
@@ -495,27 +496,24 @@ def render_polyomino(poly: Polyomino, lp: Optional[LabeledPolyomino] = None) -> 
     and south labels below it."""
     if not poly.cells:
         return "(empty)"
-    rmax = max(r for r, _ in poly.cells)
-    cmax = max(c for _, c in poly.cells)
     east = lp.east if lp else {}
     south = lp.south if lp else {}
     width = max((len(str(v)) for v in list(east.values()) + list(south.values())), default=1)
     width = max(width, 2)
+    # A cell's mark wins over an east label there, which wins over a south label.
+    marks = {(r + 1, c): str(v).ljust(width) for (r, c), v in south.items()}
+    marks.update(((r, c + 1), str(v).ljust(width)) for (r, c), v in east.items())
+    marks.update((cell, "##".ljust(width)) for cell in poly.cells)
+    rows: dict[int, dict[int, str]] = {}
+    for (r, c), text in marks.items():
+        rows.setdefault(r, {})[c] = text
+    # Only columns up to a row's last mark: the rest would be stripped.
+    blank = " " * width
     lines = []
-    for r in range(1, rmax + 2):
-        row = []
-        for c in range(1, cmax + 2):
-            if (r, c) in poly.cells:
-                row.append("#" * 2 + " " * (width - 2))
-            elif (r, c - 1) in east:
-                row.append(str(east[(r, c - 1)]).ljust(width))
-            elif (r - 1, c) in south:
-                row.append(str(south[(r - 1, c)]).ljust(width))
-            else:
-                row.append(" " * width)
-        lines.append(" ".join(row).rstrip())
-    while lines and not lines[-1]:
-        lines.pop()
+    for r in range(1, max(rows) + 1):
+        row = rows.get(r, {})
+        cols = range(1, max(row, default=0) + 1)
+        lines.append(" ".join(row.get(c, blank) for c in cols).rstrip())
     return "\n".join(lines)
 
 
@@ -532,15 +530,16 @@ def cell_dump(poly: Polyomino, lp: Optional[LabeledPolyomino] = None) -> str:
 
 
 def polyomino_to_json(poly: Polyomino) -> str:
-    return json.dumps({"cells": [list(c) for c in sorted(poly.cells)]})
+    return json.dumps({"cells": sorted(poly.cells)})  # tuples dump as arrays
 
 
 def polyomino_from_json(text: str) -> Polyomino:
     try:
         obj = json.loads(text)
         cells = [tuple(c) for c in obj["cells"]]
-        if not all(type(v) is int for c in cells for v in c):  # no bool, float or str
-            raise TypeError("cell coordinates must be integers")
+        if not all(len(c) == 2 and type(c[0]) is type(c[1]) is int  # no bool, float or str
+                   for c in cells):
+            raise TypeError("cells must be pairs of integers")
     except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
         raise PolyominoError(COND_EMPTY, f"cannot parse polyomino json: {text!r}") from exc
-    return polyomino(cells)
+    return Polyomino(cells)

@@ -320,14 +320,17 @@ def format_network(net: Network) -> str:
 def parse_network(text: str) -> Network:
     """Reads ``format_network``'s text: ``n=<int>; edges=`` and then exact
     ``(i,j)`` pairs, comma-separated, with spaces allowed between tokens.
-    Numbers are ASCII digits."""
+    The field names are exactly ``n`` and ``edges``.  Numbers are ASCII
+    digits."""
     s = text.strip()
     try:
         left, right = s.split(";", 1)
-        n_text = left.split("=", 1)[1].strip()
-        body = right.split("=", 1)[1]
+        n_key, n_text = left.split("=", 1)
+        edges_key, body = right.split("=", 1)
+        n_text = n_text.strip()
         skeleton = body.translate(_SKELETON)
-        if not (n_text.isascii() and n_text.isdigit()) or (
+        if (n_key.strip(), edges_key.strip()) != ("n", "edges") or not (
+                n_text.isascii() and n_text.isdigit()) or (
                 skeleton != ",".join(["(,)"] * skeleton.count("("))):
             raise ValueError("not n=<int>; edges=(i,j),...")
         n = int(n_text)

@@ -106,7 +106,7 @@ class TestAcceptance:
             (4, 3), (4, 4),
             (5, 3),
         ]
-        poly = diagram.polyomino(cells)
+        poly = diagram.Polyomino(cells)
         golden = {
             (2, 10), (3, 10), (8, 10), (9, 10),
             (2, 7), (3, 7), (4, 7),

@@ -3,8 +3,10 @@ from __future__ import annotations
 import io
 import json
 import os
+import random
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -67,6 +69,27 @@ class TestConvert:
         code2, text2 = run("convert", "--from", "polyomino", "--to", "network", text.strip())
         assert code2 == 0
         assert text2 == "n=4; edges=(2,3),(1,3),(2,4),(1,4)\n"
+
+    def test_perm_to_polyomino_skips_the_network(self, monkeypatch):
+        def refuse(*_args):
+            raise AssertionError("perm -> polyomino built a network")
+
+        monkeypatch.setattr(cli.network, "from_permutation", refuse)
+        monkeypatch.setattr(cli.network, "to_permutation", refuse)
+        assert run("convert", "--from", "perm", "--to", "polyomino", "3412") == (
+            0, '{"cells": [[1, 1], [1, 2], [2, 1], [2, 2]]}\n'
+        )
+
+    def test_perm_and_network_routes_to_polyomino_agree(self):
+        rng = random.Random(256)
+        for n in [1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 256]:
+            word = ",".join(map(str, rng.sample(range(1, n + 1), n)))
+            code, net_text = run("convert", "--from", "perm", "--to", "network", word)
+            assert code == 0
+            direct = run("convert", "--from", "perm", "--to", "polyomino", word)
+            assert direct[0] == 0
+            assert direct == run("convert", "--from", "network", "--to", "polyomino",
+                                 net_text.strip())
 
     def test_polyomino_to_perm(self):
         code, text = run(
@@ -294,6 +317,29 @@ class TestRender:
         assert run("render", "--polyomino", value, "--format", "json") == (3, "")
         assert "cannot parse polyomino json" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("cell", [[1, 2, 3], [1], []])
+    def test_polyomino_cell_that_is_not_a_pair_exits_invalid(self, cell, capsys):
+        value = json.dumps({"cells": [[1, 1], cell]})
+        assert run("render", "--polyomino", value, "--format", "json") == (3, "")
+        assert "cannot parse polyomino json" in capsys.readouterr().err
+
+    def test_polyomino_far_cell_is_refused_before_drawing(self, capsys):
+        value = json.dumps({"cells": [[100000, 100000]]})
+        start = time.perf_counter()
+        assert run("render", "--polyomino", value) == (2, "")
+        assert time.perf_counter() - start < 1
+        assert str(cli.HARD_MAX_CONVERT_N) in capsys.readouterr().err
+        assert run("render", "--polyomino", value, "--format", "json") == (0, value + "\n")
+
+    def test_polyomino_cell_at_the_limit_renders(self):
+        n = cli.HARD_MAX_CONVERT_N
+        code, text = run("render", "--polyomino", json.dumps({"cells": [[n, n]]}))
+        assert code == 0
+        lines = text.splitlines()  # labels n + 1 east and n south, 4 wide
+        assert len(lines) == n + 1 and not any(lines[:n - 1])
+        assert lines[n - 1] == " " * (5 * (n - 1)) + f"##   {n + 1}"
+        assert lines[n] == " " * (5 * (n - 1)) + f"{n}"
+
     def test_polyomino_cell_dump(self):
         value = json.dumps({"cells": [[1, 1]]})
         code, text = run("render", "--polyomino", value, "--format", "cells")
@@ -411,6 +457,19 @@ class TestMalformedText:
     def test_non_ascii_digit_exits_invalid(self, argv, message, capsys):
         assert run(*argv) == (3, "")
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", [
+        "x=4; y=(1,2)", "edges=4; n=(1,2)", "n=4; edge=(1,2)", "N=4; edges=(1,2)",
+        "n n=4; edges=(1,2)",
+    ])
+    def test_network_field_names_are_exact(self, text, capsys):
+        assert run("convert", "--from", "network", "--to", "perm", text) == (3, "")
+        assert "cannot parse network text" in capsys.readouterr().err
+
+    def test_network_field_names_take_spaces_around_them(self):
+        assert run("convert", "--from", "network", "--to", "perm", " n = 4 ;  edges = (1,2)") == (
+            0, "2,1,3,4\n"
+        )
 
     def test_stray_signature_letter_exits_invalid(self, capsys):
         code, text = run("whitney", "--eps", "++x--")
@@ -562,6 +621,11 @@ class TestConvertCeiling:
         code, text = run("convert", "--from", source, "--to", "perm", value)
         assert code == 2
         assert text == ""
+        assert str(cli.HARD_MAX_CONVERT_N) in capsys.readouterr().err
+
+    def test_perm_to_polyomino_above_ceiling_is_usage_error(self, capsys):
+        value = ",".join(str(v) for v in range(ABOVE_CEILING, 0, -1))
+        assert run("convert", "--from", "perm", "--to", "polyomino", value) == (2, "")
         assert str(cli.HARD_MAX_CONVERT_N) in capsys.readouterr().err
 
     def test_degree_at_ceiling_converts(self):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import random
 from itertools import permutations, product
 from math import factorial
 
@@ -26,7 +27,7 @@ BIG_EDGES = {
 
 @pytest.fixture
 def big_poly():
-    return diagram.polyomino(BIG_CELLS)
+    return diagram.Polyomino(BIG_CELLS)
 
 
 class TestShapeValidation:
@@ -35,24 +36,24 @@ class TestShapeValidation:
 
     def test_disconnected(self):
         with pytest.raises(PolyominoError) as exc:
-            diagram.validate_shape(diagram.polyomino([(1, 1), (3, 3)]))
+            diagram.validate_shape(diagram.Polyomino([(1, 1), (3, 3)]))
         assert exc.value.condition == diagram.COND_CONNECTED
 
     def test_hole(self):
         ring = [(1, 1), (1, 2), (1, 3), (2, 1), (2, 3), (3, 1), (3, 2), (3, 3)]
         with pytest.raises(PolyominoError) as exc:
-            diagram.validate_shape(diagram.polyomino(ring))
+            diagram.validate_shape(diagram.Polyomino(ring))
         assert exc.value.condition == diagram.COND_HOLES
 
     def test_north_heights_must_weakly_decrease(self):
         with pytest.raises(PolyominoError) as exc:
-            diagram.validate_shape(diagram.polyomino([(2, 1), (2, 2), (1, 2)]))
+            diagram.validate_shape(diagram.Polyomino([(2, 1), (2, 2), (1, 2)]))
         assert exc.value.condition == diagram.COND_NORTH
 
     def test_south_heights_must_be_unimodal(self):
         peak = [(1, 1), (1, 2), (1, 3), (2, 1), (2, 3)]
         with pytest.raises(PolyominoError) as exc:
-            diagram.validate_shape(diagram.polyomino(peak))
+            diagram.validate_shape(diagram.Polyomino(peak))
         assert exc.value.condition == diagram.COND_SOUTH
 
 
@@ -71,13 +72,13 @@ class TestReadingPermutation:
         rows = sorted({r for r, _ in BIG_CELLS}, reverse=True)
         for k, expected in bottoms.items():
             cells = [(r, c) for r, c in BIG_CELLS if r in rows[:k]]
-            assert diagram.polyomino_permutation(diagram.polyomino(cells)) == expected
+            assert diagram.polyomino_permutation(diagram.Polyomino(cells)) == expected
 
     def test_single_cell(self):
-        assert diagram.polyomino_permutation(diagram.polyomino([(1, 1)])) == (2, 1)
+        assert diagram.polyomino_permutation(diagram.Polyomino([(1, 1)])) == (2, 1)
 
     def test_empty(self):
-        assert diagram.polyomino_permutation(diagram.polyomino([])) == ()
+        assert diagram.polyomino_permutation(diagram.Polyomino([])) == ()
 
 
 class TestLabeling:
@@ -97,7 +98,7 @@ class TestLabeling:
         assert max(values) == 10
 
     def test_single_cell_labels(self):
-        lp = diagram.label_polyomino(diagram.polyomino([(1, 1)]))
+        lp = diagram.label_polyomino(diagram.Polyomino([(1, 1)]))
         assert lp.east == {(1, 1): 2}
         assert lp.south == {(1, 1): 1}
 
@@ -110,7 +111,7 @@ class TestRibbonAndTiling:
         )
 
     def test_single_cell_ribbon(self):
-        lp = diagram.label_polyomino(diagram.polyomino([(1, 1)]))
+        lp = diagram.label_polyomino(diagram.Polyomino([(1, 1)]))
         assert diagram.boundary_ribbon(lp) == ((1, 1),)
 
     def test_worked_tiling_sizes(self):
@@ -162,7 +163,7 @@ class TestPeeling:
         assert diagram.polyomino_edges(big_poly) == BIG_EDGES
 
     def test_polyomino_edges_empty(self):
-        assert diagram.polyomino_edges(diagram.polyomino([])) == frozenset()
+        assert diagram.polyomino_edges(diagram.Polyomino([])) == frozenset()
 
     def test_edges_match_inverse_word_network(self, big_poly):
         word = diagram.polyomino_permutation(big_poly)
@@ -198,7 +199,7 @@ class TestPeeling:
             cells = [(r, c) for r, cols in enumerate(rows, start=1) for c in cols]
             if not cells or min(cells)[0] != 1 or min(c for _, c in cells) != 1:
                 continue
-            poly = diagram.polyomino(cells)
+            poly = diagram.Polyomino(cells)
             try:
                 diagram.validate_shape(poly)
             except PolyominoError:
@@ -208,6 +209,46 @@ class TestPeeling:
             expected = network.from_permutation(perm.inverse(word)).edges
             assert diagram.polyomino_edges(poly) == expected
         assert tested == 816
+
+
+def rothe_cells(word):
+    """The pointwise oracle: (i, j) with word[i] > j and value j placed after i."""
+    w = perm.check_word(word)
+    inv = {v: p for p, v in enumerate(w, start=1)}
+    return frozenset(
+        (i, j)
+        for i, v in enumerate(w, start=1)
+        for j in range(1, v)
+        if inv[j] > i
+    )
+
+
+def compact_maps(cells):
+    """Rank of each used row and column among the used ones."""
+    used_rows = sorted({r for r, _ in cells})
+    used_cols = sorted({c for _, c in cells})
+    return (
+        {r: i for i, r in enumerate(used_rows, start=1)},
+        {c: i for i, c in enumerate(used_cols, start=1)},
+    )
+
+
+def compacted_rothe_cells(word):
+    cells = rothe_cells(word)
+    rmap, cmap = compact_maps(cells)
+    return frozenset((rmap[r], cmap[c]) for r, c in cells)
+
+
+def seeded_words(seed, count, top):
+    """``count`` shuffled words, degrees log-spread over 1..top, ending at top."""
+    rng = random.Random(seed)
+    degrees = [round(top ** (k / (count - 1))) for k in range(count)]
+    words = []
+    for n in degrees:
+        w = list(range(1, n + 1))
+        rng.shuffle(w)
+        words.append(tuple(w))
+    return words
 
 
 class TestRotheDiagram:
@@ -224,9 +265,25 @@ class TestRotheDiagram:
 
     def test_transpose_property(self):
         for w in permutations(range(1, 6)):
-            cells = diagram.rothe_cells(w)
+            cells = rothe_cells(w)
             flipped = frozenset((c, r) for r, c in cells)
-            assert diagram.rothe_cells(perm.inverse(w)) == flipped
+            assert rothe_cells(perm.inverse(w)) == flipped
+            poly_cells = diagram.rothe_diagram(w).cells
+            flipped = frozenset((c, r) for r, c in poly_cells)
+            assert diagram.rothe_diagram(perm.inverse(w)).cells == flipped
+
+    @pytest.mark.parametrize("n", range(8))
+    def test_matches_compacted_oracle_on_every_word(self, n):
+        for w in permutations(range(1, n + 1)):
+            assert diagram.rothe_diagram(w).cells == compacted_rothe_cells(w)
+
+    def test_matches_compacted_oracle_on_seeded_words(self):
+        for w in seeded_words(2048, 12, 2048):  # degrees 1, 2, 4, ..., 2048
+            assert diagram.rothe_diagram(w).cells == compacted_rothe_cells(w)
+
+    def test_rejects_non_permutation(self):
+        with pytest.raises(perm.PermError):
+            diagram.rothe_diagram((1, 3, 3))
 
 
 class TestRotheStep:
@@ -289,8 +346,8 @@ def rothe_polyomino(word):
     never feed the ribbon pipeline).
     """
     w = perm.check_word(word)
-    cells = diagram.rothe_cells(w)
-    rmap, cmap = diagram._compact_maps(cells)
+    cells = rothe_cells(w)
+    rmap, cmap = compact_maps(cells)
     glued = frozenset((rmap[r], cmap[c]) for r, c in cells)
     east, south = {}, {}
     for i, v in enumerate(w, start=1):
