@@ -126,17 +126,17 @@ def check_rothe(n: int) -> list[CheckResult]:
     ]
 
 
-def check_forest(lat: poset.NetworkLattice) -> list[CheckResult]:
+def check_forest(eps: network.Signature) -> list[CheckResult]:
     out = []
-    eps = lat.eps
     forests = forest.enumerate_forests(eps)
     nets = [forest.to_network(f) for f in forests]
+    fitting = poset.signature_networks(eps)
     round_ok = all(forest.from_network(net, eps) == f for f, net in zip(forests, nets))
     out.append(
         CheckResult(
             "forest-network-bijection",
-            round_ok and set(nets) == set(lat.elements),
-            f"{len(forests)} forests <-> {len(lat.elements)} networks",
+            round_ok and set(nets) == set(fitting),
+            f"{len(forests)} forests <-> {len(fitting)} networks",
         )
     )
     base = forest.max_network_permutation(eps)
@@ -270,8 +270,8 @@ def check_el(lat: poset.NetworkLattice) -> list[CheckResult]:
 # Largest degree each degree suite runs, and largest signature length each
 # signature suite runs; ``all`` runs every suite, so its limits are the
 # smallest of these.
-MAX_N = {"bijection": 7, "polyomino": 6, "rothe": 6}
-MAX_LENGTH = {"forest": 6, "lattice": 6, "whitney": 8, "mobius": 7, "el": 7}
+MAX_N = {"bijection": 8, "polyomino": 8, "rothe": 8}
+MAX_LENGTH = {"forest": 8, "lattice": 7, "whitney": 8, "mobius": 7, "el": 7}
 
 
 class BoundError(ValueError):
@@ -296,8 +296,9 @@ def run_suite(
     one the suite does not run raises BoundError rather than shrinking,
     and so does ``n`` for a signature suite or ``eps`` for a degree suite.
     ``eps`` is signature text, parsed only once the suite takes it.
-    The forest suite needs a signature that ends with a sink, so any
-    other raises BoundError before a suite runs.
+    Before a suite runs, BoundError refuses for ``forest`` and ``all`` an
+    ``eps`` that does not end with a sink, and for ``lattice`` and ``all``
+    one past the lattice suite's limit: its pairs grow as the square.
     """
     if suite != "all" and suite not in MAX_N and suite not in MAX_LENGTH:
         raise ValueError(f"unknown suite: {suite}")
@@ -315,6 +316,9 @@ def run_suite(
         if suite in ("forest", "all") and eps and eps[-1] == 1:
             raise BoundError("the forest suite needs a signature that ends with a sink, "
                              f"not {network.format_signature(eps)}")
+        if suite in ("lattice", "all") and len(eps) > MAX_LENGTH["lattice"]:
+            raise BoundError(f"--eps of length {len(eps)} is past the lattice suite's "
+                             f"limit {MAX_LENGTH['lattice']}")
         fixed = [eps]
     suites = {"bijection": check_bijection, "polyomino": check_polyomino,
               "rothe": check_rothe, "forest": check_forest, "lattice": check_lattice,
@@ -329,7 +333,7 @@ def run_suite(
             continue
         default = 6 if name == "whitney" else 5
         for e in fixed or signatures_up_to(default if bound is None else bound):
-            if name != "whitney":  # whitney's direct count is its own route
+            if name in ("lattice", "mobius", "el"):  # the suites that take a lattice
                 if e not in lattices:
                     lattices[e] = poset.build_lattice(e)
                 e = lattices[e]

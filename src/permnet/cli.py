@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import io
 import sys
 from typing import Optional, Sequence
 
@@ -81,11 +82,9 @@ def _forest_eps(args, net: network.Network, out) -> network.Signature:
     return sig
 
 
-def _check_degree(n: int) -> None:
+def _check_degree(n: int, verb: str = "convert") -> None:
     if n > HARD_MAX_CONVERT_N:
-        raise CliError(
-            f"degree {n} exceeds the convert limit {HARD_MAX_CONVERT_N}", EXIT_USAGE
-        )
+        raise CliError(f"degree {n} exceeds the {verb} limit {HARD_MAX_CONVERT_N}", EXIT_USAGE)
 
 
 def cmd_convert(args, out, caps) -> int:
@@ -132,8 +131,9 @@ def cmd_convert(args, out, caps) -> int:
     elif dst == "perm":
         out.write(perm.format_word(network.to_permutation(net)) + "\n")
     elif dst == "forest":
-        eps = _forest_eps(args, net, out)
-        out.write(forest.forest_to_json(forest.from_network(net, eps)) + "\n")
+        notes = io.StringIO()  # written only once the forest is built
+        f = forest.from_network(net, _forest_eps(args, net, notes))
+        out.write(notes.getvalue() + forest.forest_to_json(f) + "\n")
     else:
         word = perm.inverse(network.to_permutation(net))
         poly = diagram.rothe_diagram(word)
@@ -238,6 +238,7 @@ def cmd_render(args, out, caps) -> int:
         if args.format == "json":
             out.write(network.network_to_json(net) + "\n")
         else:
+            _check_degree(net.n, "render")  # the sign line has a mark per point
             marks = {1: "+", -1: "-", 0: "."}
             sig = network.signature_of(net)
             out.write(" ".join(marks[v] for v in sig) + "\n")
@@ -260,6 +261,7 @@ def cmd_render(args, out, caps) -> int:
         if args.format == "json":
             out.write(forest.forest_to_json(f) + "\n")
         else:
+            _check_degree(len(f.eps), "render")  # the drawing has a box per cell
             out.write(forest.render_forest(f) + "\n")
     return EXIT_OK
 
@@ -321,6 +323,9 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
+    for key, value in vars(args).items():
+        if value == []:  # argparse up to Python 3.11 reads --eps=-- as []
+            setattr(args, key, "--")
     try:
         caps = load_config(args.config)
         return VERBS[args.verb](args, out, caps)

@@ -80,24 +80,13 @@ def _rows(cells: frozenset[Cell]) -> dict[int, list[int]]:
     return rows
 
 
-def north_edges(cells: frozenset[Cell]) -> list[Cell]:
-    """Cells whose top edge is exposed, in left-to-right boundary order."""
-    out = [(r, c) for r, c in cells if (r - 1, c) not in cells]
-    return sorted(out, key=lambda rc: (rc[1], rc[0]))
-
-
-def south_edges(cells: frozenset[Cell]) -> list[Cell]:
-    """Cells whose bottom edge is exposed, in left-to-right boundary order."""
-    out = [(r, c) for r, c in cells if (r + 1, c) not in cells]
-    return sorted(out, key=lambda rc: (rc[1], -rc[0]))
-
-
 def validate_shape(poly: Polyomino) -> None:
     """Check membership in the accepted polyomino class.
 
     Raises PolyominoError with the failed condition: connectivity, a
     hole, a north-edge height increase, or a south-edge height that is
-    not unimodal (a valley).
+    not unimodal (a valley).  A connected cell set has a hole exactly
+    when its Euler count, corners - unit sides + cells, is not 1.
     """
     cells = poly.cells
     if not cells:
@@ -105,33 +94,20 @@ def validate_shape(poly: Polyomino) -> None:
     count = poly.component_count
     if count != 1:
         raise PolyominoError(COND_CONNECTED, f"{count} components, expected 1")
-    rmin = min(r for r, _ in cells) - 1
-    rmax = max(r for r, _ in cells) + 1
-    cmin = min(c for _, c in cells) - 1
-    cmax = max(c for _, c in cells) + 1
-    outside = {(rmin, cmin)}
-    stack = [(rmin, cmin)]
-    while stack:
-        r, c = stack.pop()
-        for nb in ((r - 1, c), (r + 1, c), (r, c - 1), (r, c + 1)):
-            nr, nc = nb
-            if rmin <= nr <= rmax and cmin <= nc <= cmax:
-                if nb not in cells and nb not in outside:
-                    outside.add(nb)
-                    stack.append(nb)
-    box = (rmax - rmin + 1) * (cmax - cmin + 1)
-    if len(outside) + len(cells) != box:
+    corners = {(r + a, c + b) for r, c in cells for a in (0, 1) for b in (0, 1)}
+    horizontal = {(r + a, c) for r, c in cells for a in (0, 1)}
+    vertical = {(r, c + b) for r, c in cells for b in (0, 1)}
+    if len(corners) - len(horizontal) - len(vertical) + len(cells) != 1:
         raise PolyominoError(COND_HOLES, "polyomino has a hole")
     # north heights weakly decreasing left to right (row index weakly increasing)
-    norths = north_edges(cells)
-    for a, b in zip(norths, norths[1:]):
-        if b[0] < a[0]:
+    norths = sorted((c, r) for r, c in cells if (r - 1, c) not in cells)
+    for (ca, ra), (cb, rb) in zip(norths, norths[1:]):
+        if rb < ra:
             raise PolyominoError(
-                COND_NORTH, f"north edge of {b} higher than that of {a}"
+                COND_NORTH, f"north edge of {(rb, cb)} higher than that of {(ra, ca)}"
             )
     # south heights unimodal: down then up (row index up then down)
-    souths = south_edges(cells)
-    heights = [-r for r, _ in souths]
+    heights = [h for _, h in sorted((c, -r) for r, c in cells if (r + 1, c) not in cells)]
     k = heights.index(min(heights))
     for a, b in zip(heights[: k + 1], heights[1 : k + 1]):
         if b > a:

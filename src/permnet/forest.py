@@ -378,6 +378,8 @@ def forest_to_json(f: Forest) -> str:
 def forest_from_json(text: str) -> Forest:
     try:
         obj = json.loads(text)
+        if type(obj["epsilon"]) is not str:
+            raise TypeError("epsilon must be signature text")
         eps = parse_signature(obj["epsilon"])
         pts = [tuple(c) for c in obj["pointed"]]
         if not all(type(v) is int for c in pts for v in c):  # no bool, float or str

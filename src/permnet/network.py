@@ -10,10 +10,10 @@ lattice join, the Mobius closed form and the direct Whitney count is
 built from it, and validation calls ``_crossings`` on the tables of its
 one pass.
 
-Networks biject with permutations: ``to_permutation`` multiplies the
-edges out as position transpositions in the canonical (size, leftmost)
-order, and ``from_permutation`` inverts that by peeling the word from
-its last entry.
+Networks biject with permutations: ``from_permutation`` peels a word
+from its last entry, one exchange per edge, and ``to_permutation``
+plays those exchanges backwards, multiplying the edges out as position
+transpositions in the label order.
 """
 
 from __future__ import annotations
@@ -149,19 +149,13 @@ def validate(n: int, edges: Iterable[Edge]) -> Network:
     return Network(n=n, edges=edges)
 
 
-def edge_order(net: Network) -> tuple[Edge, ...]:
-    """Total edge order: smallest size (dst-src) first, leftmost breaking ties.
-
-    Well defined because no point is both a source and a sink: two edges
-    of equal size and equal source would coincide.
-    """
-    return tuple(sorted(net.edges, key=lambda e: (e[1] - e[0], e[0])))
-
-
 def to_permutation(net: Network) -> Word:
-    """Multiply the ordered edges as position transpositions over the identity."""
+    """Multiply the edges as position transpositions over the identity, in
+    the label order: ``from_permutation`` emits its exchanges sink
+    descending and, for one sink, source ascending, so this plays them
+    backwards."""
     w = list(identity(net.n))
-    for i, j in edge_order(net):
+    for i, j in sorted(net.edges, key=label_key):
         w[i - 1], w[j - 1] = w[j - 1], w[i - 1]
     return tuple(w)
 
@@ -272,7 +266,7 @@ def enumerate_networks(
     ``from_permutation``; the two are in bijection, so this is exhaustive.
     Networks that do not fit ``eps`` are dropped as they are made, so peak
     memory scales with the networks kept, not with n!.  Fitting ``eps`` is
-    one subset test against its allowed pairs, computed once: O(E) per
+    one subset test against the edges of ``max_network(eps)``: O(E) per
     network.  Returns a canonically sorted list.  ``poset.signature_networks``
     lists one signature's networks without the scan; the ``eps`` branch
     stays as the reference the tests hold that walk to, and for
@@ -286,10 +280,7 @@ def enumerate_networks(
             raise NetworkError(ERR_RANGE, f"signature length {len(eps)} != n={n}")
     nets = map(from_permutation, _all_perms(range(1, n + 1)))
     if eps is not None:
-        # ``compatible``'s definition, since every validated edge has i < j.
-        allowed = frozenset(
-            (i, j) for i in signature_sources(eps) for j in signature_sinks(eps) if i < j
-        )
+        allowed = max_network(eps).edges
         nets = (net for net in nets if net.edges <= allowed)
     return sorted(nets, key=lambda net: (net.rank, sorted_edges(net)))
 

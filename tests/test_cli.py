@@ -120,6 +120,33 @@ class TestConvert:
         assert run("convert", "--from", "forest", "--to", "network", value) == (3, "")
         assert "cannot parse forest json" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("eps", [{}, ["+", "-"], 1, None])
+    def test_forest_signature_that_is_not_text_exits_invalid(self, eps, capsys):
+        """Found by tests/test_fuzz.py: a JSON value other than a string
+        reached ``parse_signature`` and raised AttributeError."""
+        value = json.dumps({"epsilon": eps, "pointed": []})
+        assert run("convert", "--from", "forest", "--to", "perm", value) == (3, "")
+        assert "cannot parse forest json" in capsys.readouterr().err
+
+    def test_forest_signature_refused_after_its_note_prints_nothing(self, capsys):
+        """Found by tests/test_fuzz.py: the neutral-point note reached
+        stdout before the signature was refused."""
+        assert run("convert", "--from", "network", "--to", "forest", "--eps", "+0-+",
+                   "n=2; edges=(1,2)") == (3, "")
+        assert "forest signature must start with + and end with -" in capsys.readouterr().err
+        assert run("convert", "--from", "network", "--to", "forest", "--eps", "+0-",
+                   "n=2; edges=(1,2)") == (
+            0, 'note: neutral points stripped from signature\n'
+               '{"epsilon": "+ -", "pointed": [[1, 1]]}\n')
+
+    @pytest.mark.parametrize("argv", [("whitney", "--eps=--"), ("render", "--poset=--"),
+                                      ("verify", "--suite", "lattice", "--eps=--")])
+    def test_option_value_of_two_dashes_is_the_signature(self, argv, capsys):
+        """Found by tests/test_fuzz.py: argparse up to Python 3.11 reads
+        ``--eps=--`` as an empty list, which reached ``parse_signature``."""
+        assert run(*argv) == (3, "")
+        assert "first nonzero signature entry must be +1" in capsys.readouterr().err
+
     def test_forest_cell_with_three_coordinates_exits_invalid(self, capsys):
         value = json.dumps({"epsilon": "+ -", "pointed": [[1, 1, 1]]})
         assert run("convert", "--from", "forest", "--to", "perm", value) == (3, "")
@@ -331,6 +358,34 @@ class TestRender:
         assert str(cli.HARD_MAX_CONVERT_N) in capsys.readouterr().err
         assert run("render", "--polyomino", value, "--format", "json") == (0, value + "\n")
 
+    def test_network_of_large_degree_is_refused_before_drawing(self, capsys):
+        """The text drawing writes one sign mark per point, so before this
+        limit ``n=999999999; edges=`` asked for a gigabyte of output."""
+        value = "n=999999999; edges=(1,2)"
+        assert run("render", "--network", value) == (2, "")
+        assert "render limit 2048" in capsys.readouterr().err
+        assert run("render", "--network", value, "--format", "json") == (
+            0, '{"n": 999999999, "edges": [[1, 2]]}\n')
+        n = cli.HARD_MAX_CONVERT_N
+        code, text = run("render", "--network", f"n={n}; edges=")
+        assert code == 0
+        assert text.splitlines()[0] == " ".join(["."] * n)
+
+    def test_forest_of_large_degree_is_refused_before_drawing(self, capsys):
+        """The text drawing has a box for each of the up to (n/2)^2 cells of
+        the shape, so a 40 KB signature asked for over a gigabyte."""
+        half = 20000
+        value = json.dumps({"epsilon": "+" * half + "-" * half, "pointed": []})
+        start = time.perf_counter()
+        assert run("render", "--forest", value) == (2, "")
+        assert time.perf_counter() - start < 1
+        assert "render limit 2048" in capsys.readouterr().err
+        half = cli.HARD_MAX_CONVERT_N // 2
+        value = json.dumps({"epsilon": "+" * half + "-" * half, "pointed": []})
+        code, text = run("render", "--forest", value)
+        assert code == 0
+        assert len(text.splitlines()) == half + 1
+
     def test_polyomino_cell_at_the_limit_renders(self):
         n = cli.HARD_MAX_CONVERT_N
         code, text = run("render", "--polyomino", json.dumps({"cells": [[n, n]]}))
@@ -482,20 +537,24 @@ class TestVerifyBounds:
     @pytest.mark.parametrize(
         "argv,maximum",
         [
-            (("--suite", "bijection", "--n", "12"), "1..7"),
-            (("--suite", "polyomino", "--bound", "9"), "1..6"),
-            (("--suite", "all", "--bound", "9"), "1..6"),
-            (("--suite", "all", "--n", "7"), "1..6"),
+            (("--suite", "bijection", "--n", "12"), "1..8"),
+            (("--suite", "polyomino", "--bound", "9"), "1..8"),
+            (("--suite", "all", "--bound", "9"), "1..8"),
+            (("--suite", "all", "--n", "9"), "1..8"),
             (("--suite", "mobius", "--bound", "9"), "2..7"),
             (("--suite", "whitney", "--bound", "9"), "2..8"),
             (("--suite", "el", "--bound", "8"), "2..7"),
             (("--suite", "mobius", "--bound", "8"), "2..7"),
-            (("--suite", "bijection", "--n", "0"), "1..7"),
-            (("--suite", "all", "--n", "0"), "1..6"),
+            (("--suite", "bijection", "--n", "0"), "1..8"),
+            (("--suite", "all", "--n", "0"), "1..8"),
             *[(("--suite", suite, "--n", "3"), "--n")
               for suite in ("forest", "lattice", "whitney", "mobius", "el")],
             *[(("--suite", suite, "--eps", "+-"), "--eps")
               for suite in ("bijection", "polyomino", "rothe")],
+            (("--suite", "rothe", "--n", "9"), "1..8"),
+            (("--suite", "forest", "--bound", "9"), "2..8"),
+            (("--suite", "lattice", "--bound", "8"), "2..7"),
+            (("--suite", "all", "--n", "8", "--bound", "8"), "2..7"),
         ],
     )
     def test_bound_above_suite_maximum_is_usage_error(self, argv, maximum, capsys):
@@ -524,6 +583,35 @@ class TestVerifyBounds:
         assert code == 2
         assert text == ""
         assert "forest suite needs a signature that ends with a sink" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("suite", ["lattice", "all"])
+    def test_signature_past_lattice_limit_is_usage_error(self, suite, monkeypatch, capsys):
+        """The meet/join pairs of ++++---- (6,902 elements) take minutes,
+        so it is refused before any suite runs."""
+        from permnet import checks
+
+        for name in ("check_bijection", "check_forest", "check_lattice", "check_whitney",
+                     "check_mobius", "check_el"):
+            monkeypatch.setattr(checks, name, lambda *a, name=name: pytest.fail(f"{name} ran"))
+        monkeypatch.setattr(checks.poset, "build_lattice", lambda eps: pytest.fail("built"))
+        start = time.perf_counter()
+        assert run("verify", "--suite", suite, "--eps", "++++----") == (2, "")
+        assert time.perf_counter() - start < 1
+        err = capsys.readouterr().err
+        assert "lattice suite's limit 7" in err
+        assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("suite", ["forest", "whitney", "mobius", "el"])
+    def test_signature_past_lattice_limit_runs_other_suites(self, suite, monkeypatch):
+        """Only ``lattice`` and ``all`` stop at 7; the rest run up to the cap 8
+        (shown here without running the suite)."""
+        from permnet import checks
+
+        ran = []
+        monkeypatch.setattr(checks, f"check_{suite}", lambda e: ran.append(e) or [])
+        monkeypatch.setattr(checks.poset, "build_lattice", lambda eps: tuple(eps))
+        assert run("verify", "--suite", suite, "--eps", "++++----") == (0, "")
+        assert ran == [(1, 1, 1, 1, -1, -1, -1, -1)]
 
     def test_other_signature_suites_take_signature_without_final_sink(self):
         code, text = run("verify", "--suite", "lattice", "--eps", "++-+")

@@ -57,6 +57,86 @@ class TestShapeValidation:
         assert exc.value.condition == diagram.COND_SOUTH
 
 
+def flood_fill_condition(cells):
+    """Oracle: the condition ``validate_shape`` fails on, or None, with the
+    hole test a flood fill of the outside over the bounding box grown by
+    one, and the exposed north and south edges listed left to right."""
+    cells = frozenset(cells)
+    if not cells:
+        return diagram.COND_EMPTY
+    if diagram.Polyomino(cells).component_count != 1:
+        return diagram.COND_CONNECTED
+    rmin, rmax = min(r for r, _ in cells) - 1, max(r for r, _ in cells) + 1
+    cmin, cmax = min(c for _, c in cells) - 1, max(c for _, c in cells) + 1
+    outside, stack = {(rmin, cmin)}, [(rmin, cmin)]
+    while stack:
+        r, c = stack.pop()
+        for nb in ((r - 1, c), (r + 1, c), (r, c - 1), (r, c + 1)):
+            if (rmin <= nb[0] <= rmax and cmin <= nb[1] <= cmax
+                    and nb not in cells and nb not in outside):
+                outside.add(nb)
+                stack.append(nb)
+    if len(outside) + len(cells) != (rmax - rmin + 1) * (cmax - cmin + 1):
+        return diagram.COND_HOLES
+    norths = sorted((rc for rc in cells if (rc[0] - 1, rc[1]) not in cells),
+                    key=lambda rc: (rc[1], rc[0]))
+    if any(b[0] < a[0] for a, b in zip(norths, norths[1:])):
+        return diagram.COND_NORTH
+    souths = sorted((rc for rc in cells if (rc[0] + 1, rc[1]) not in cells),
+                    key=lambda rc: (rc[1], -rc[0]))
+    heights = [-r for r, _ in souths]
+    k = heights.index(min(heights))
+    if (any(b > a for a, b in zip(heights[:k + 1], heights[1:k + 1]))
+            or any(b < a for a, b in zip(heights[k:], heights[k + 1:]))):
+        return diagram.COND_SOUTH
+    return None
+
+
+def shape_condition(cells):
+    try:
+        diagram.validate_shape(diagram.Polyomino(cells))
+    except PolyominoError as exc:
+        return exc.condition
+    return None
+
+
+class TestShapeOracle:
+    def test_every_subset_of_a_3x4_box(self):
+        box = [(r, c) for r in range(1, 4) for c in range(1, 5)]
+        tally = {}
+        for mask in range(1, 1 << len(box)):
+            cells = [cell for i, cell in enumerate(box) if mask >> i & 1]
+            condition = flood_fill_condition(cells)
+            assert shape_condition(cells) == condition, cells
+            tally[condition] = tally.get(condition, 0) + 1
+        assert len(tally) == 5  # every condition but empty, and acceptance
+
+    def test_seeded_subsets_of_a_6x6_box(self):
+        rng = random.Random(20)
+        box = [(r, c) for r in range(1, 7) for c in range(1, 7)]
+        seen = set()
+        for _ in range(3000):
+            density = rng.choice((0.5, 0.7, 0.85, 0.95))
+            cells = [cell for cell in box if rng.random() < density]
+            condition = flood_fill_condition(cells)
+            assert shape_condition(cells) == condition, cells
+            seen.add(condition)
+        assert seen == {diagram.COND_CONNECTED, diagram.COND_HOLES, diagram.COND_NORTH,
+                        diagram.COND_SOUTH, None}
+
+    def test_diagonal_gaps_are_two_holes(self):
+        cells = [(r, c) for r in range(1, 5) for c in range(1, 5) if (r, c) not in {(2, 2), (3, 3)}]
+        assert shape_condition(cells) == flood_fill_condition(cells) == diagram.COND_HOLES
+
+    def test_long_arms_read_off_in_linear_validation(self):
+        """A top row and a left column of 2,000 cells each: the old
+        bounding-box fill visited all 4,000,000 cells of the box."""
+        arm = 2000
+        cells = [(1, c) for c in range(1, arm + 1)] + [(r, 1) for r in range(2, arm + 1)]
+        word = diagram.polyomino_permutation(diagram.Polyomino(cells))
+        assert word == (arm + 1, *range(2, arm + 1), 1)
+
+
 class TestReadingPermutation:
     def test_worked_example(self, big_poly):
         assert diagram.polyomino_permutation(big_poly) == (5, 1, 7, 10, 2, 6, 4, 3, 8, 9)

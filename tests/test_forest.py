@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from permnet import checks, forest, network, perm, poset
+from permnet import checks, forest, network, perm
 from permnet.forest import ForestError
 from permnet.network import parse_signature
 
@@ -25,7 +25,7 @@ def forest_permutations(eps):
     """``checks.check_forest``'s one result for the strand, leaf-vs-strands
     and swap-length steps on ``eps``, run once per signature for the three
     tests that name those identities."""
-    [_, result] = checks.check_forest(poset.build_lattice(sig(eps)))
+    [_, result] = checks.check_forest(sig(eps))
     return result
 
 

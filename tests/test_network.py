@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import random
 import tracemalloc
 from itertools import combinations, permutations, product
 from math import factorial
@@ -78,17 +79,55 @@ class TestValidate:
         assert exc.value.code == ERR_OVERLAP
 
 
+def edge_order(net):
+    """Oracle: the (size, leftmost) total order on edges, smallest size
+    j - i first, leftmost breaking ties.  Well defined because no point
+    is both a source and a sink: two edges of equal size and equal
+    source would coincide."""
+    return tuple(sorted(net.edges, key=lambda e: (e[1] - e[0], e[0])))
+
+
+def edge_order_product(net):
+    """Oracle for ``to_permutation``: the edges multiplied as position
+    transpositions over the identity in the (size, leftmost) order."""
+    w = list(perm.identity(net.n))
+    for i, j in edge_order(net):
+        w[i - 1], w[j - 1] = w[j - 1], w[i - 1]
+    return tuple(w)
+
+
 class TestEdgeOrder:
+    """The label order that ``to_permutation`` multiplies in gives the
+    product of the (size, leftmost) order."""
+
     def test_worked_example(self):
         net = network.validate(4, [(2, 3), (1, 3), (2, 4), (1, 4)])
-        assert network.edge_order(net) == ((2, 3), (1, 3), (2, 4), (1, 4))
+        assert edge_order(net) == ((2, 3), (1, 3), (2, 4), (1, 4))
+        assert network.to_permutation(net) == edge_order_product(net) == (3, 4, 1, 2)
 
     def test_empty(self):
-        assert network.edge_order(network.validate(3, [])) == ()
+        net = network.validate(3, [])
+        assert edge_order(net) == ()
+        assert network.to_permutation(net) == edge_order_product(net) == (1, 2, 3)
 
     def test_equal_size_leftmost_first(self):
         net = network.validate(4, [(1, 2), (3, 4)])
-        assert network.edge_order(net) == ((1, 2), (3, 4))
+        assert edge_order(net) == ((1, 2), (3, 4))
+        assert network.to_permutation(net) == edge_order_product(net) == (2, 1, 4, 3)
+
+    def test_every_word_up_to_degree_7(self):
+        for n in range(8):
+            for word in permutations(range(1, n + 1)):
+                net = network.from_permutation(word)
+                assert network.to_permutation(net) == edge_order_product(net) == word
+
+    def test_seeded_words_of_degree_9_to_256(self):
+        rng = random.Random(20)
+        for _ in range(300):
+            word = list(range(1, rng.randint(9, 256) + 1))
+            rng.shuffle(word)
+            net = network.from_permutation(word)
+            assert network.to_permutation(net) == edge_order_product(net) == tuple(word)
 
 
 @pytest.fixture(scope="module")
