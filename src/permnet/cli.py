@@ -90,8 +90,8 @@ def _check_degree(n: int, verb: str = "convert") -> None:
 def cmd_convert(args, out, caps) -> int:
     """Every source is checked against ``HARD_MAX_CONVERT_N`` once parsed,
     before anything of its degree's size is built or written.  A
-    polyomino's degree is only known once its permutation or edges are
-    read off; that work is bounded by its cell count."""
+    polyomino's degree is the length of its word, which is read off
+    before the peel runs: the peel costs strips times cells."""
     src, dst = args.source, args.target
     value = args.value
     if args.eps is not None and dst != "forest":
@@ -109,15 +109,12 @@ def cmd_convert(args, out, caps) -> int:
         _check_degree(net.n)
     elif src == "polyomino":
         poly = diagram.polyomino_from_json(value)
+        word = diagram.polyomino_permutation(poly)
+        _check_degree(len(word))
         if dst == "perm":
-            word = diagram.polyomino_permutation(poly)
-            _check_degree(len(word))
             out.write(perm.format_word(word) + "\n")
             return EXIT_OK
-        edges = diagram.polyomino_edges(poly)
-        n = max((j for _, j in edges), default=0)
-        _check_degree(n)
-        net = network.validate(n, edges)
+        net = network.validate(len(word), diagram.polyomino_edges(poly))
     else:
         f = forest.forest_from_json(value)
         _check_degree(len(f.eps))

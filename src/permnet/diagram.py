@@ -122,47 +122,39 @@ def _build_word_and_labels(
 ) -> tuple[list[int], list[tuple[str, Cell]]]:
     """Run the row recursion, tracking which edge every value labels.
 
-    Rows are absorbed bottom to top: each row's seed sequence is
-    prepended (its head labels the row's east edge, its tail the cells
-    protruding left of the row below) and the older word is renumbered
-    into the remaining values.  Values appended to complete the word are
-    reported as pending slots; they belong to south edges protruding
-    right of the row below, and which of those edges actually carry them
-    is settled by the boundary ribbon's tiling.
+    Rows are absorbed bottom to top into one list of slots in value
+    order: a row's south slots (the cells protruding left of the row
+    below) take the first ranks and its east slot rank ``len(cols) + 1``,
+    which renumbers the older slots without reordering them.  If the list
+    is too short for the east slot, pending slots fill it first; they
+    belong to south edges protruding right of the row below, and which of
+    those edges actually carry them is settled by the boundary ribbon's
+    tiling.  The word holds each row's east then south values, top row
+    first, then the pending values, bottom row's first.
     """
     rows = _rows(poly.cells)
-    word: list[int] = []
     slots: list[tuple[str, Cell]] = []
-    prev_cols: Optional[list[int]] = None
+    by_value: list[int] = []  # indexes into slots, smallest value first
+    seeds: list[int] = []  # east and south slots in word order
+    spare: list[int] = []  # pending slots in word order
+    below = float("inf")  # first column of the row below; none under the bottom row
     for r in sorted(rows, reverse=True):
         cols = rows[r]
-        left_count = (
-            len(cols)
-            if prev_cols is None
-            else sum(1 for c in cols if c < prev_cols[0])
-        )
-        seq = [len(cols) + 1] + list(range(1, left_count + 1))
-        seq_slots = [("east", (r, cols[-1]))] + [
-            ("south", (r, cols[0] + i)) for i in range(left_count)
-        ]
-        if not word:
-            word = seq
-            slots = seq_slots
-        else:
-            taken = set(seq)
-            bound = len(seq) + len(word) + len(taken) + 2
-            free = [v for v in range(1, bound) if v not in taken]
-            word = seq + [free[v - 1] for v in word]
-            slots = seq_slots + slots
-        have = set(word)
-        missing = [v for v in range(1, max(word) + 1) if v not in have]
-        if missing:
-            if prev_cols is None:
-                raise PolyominoError(COND_ROWS, "bottom row left labels unassigned")
-            word = word + missing
-            slots = slots + [("pending", (r, 0))] * len(missing)
-        prev_cols = cols
-    return word, slots
+        left_count = min(len(cols), max(0, below - cols[0]))
+        east = len(slots)
+        slots.append(("east", (r, cols[-1])))
+        slots.extend(("south", (r, cols[0] + i)) for i in range(left_count))
+        seeds[:0] = range(east, len(slots))
+        by_value[:0] = range(east + 1, len(slots))
+        pending = range(len(slots), len(slots) + len(cols) - len(by_value))
+        slots.extend([("pending", (r, 0))] * len(pending))
+        spare.extend(pending)
+        by_value.extend(pending)
+        by_value.insert(len(cols), east)
+        below = cols[0]
+    value = {i: v for v, i in enumerate(by_value, start=1)}
+    order = seeds + spare
+    return [value[i] for i in order], [slots[i] for i in order]
 
 
 def polyomino_permutation(poly: Polyomino) -> Word:
@@ -261,24 +253,18 @@ def boundary_ribbon(lp: LabeledPolyomino) -> tuple[Cell, ...]:
     if not lp.east:
         raise RibbonError("no east labels to start the ribbon from")
     start = max(lp.east, key=lambda cell: lp.east[cell])
-    bottom = max(r for r, _ in cells)
-    end = (bottom, min(c for r, c in cells if r == bottom))
+    end = max(cells, key=lambda rc: (rc[0], -rc[1]))
+    by_col = sorted(cells, key=lambda rc: (rc[1], rc[0]))
+    down = {a: b for a, b in zip(by_col, by_col[1:]) if a[1] == b[1]}
+    by_row = sorted(cells)
+    left = {b: a for a, b in zip(by_row, by_row[1:]) if a[0] == b[0]}
     path = [start]
-    cur = start
-    for _ in range(len(cells) + 1):
-        if cur == end:
-            return tuple(path)
-        r, c = cur
-        below = [rr for rr, cc in cells if cc == c and rr > r]
-        left = [cc for rr, cc in cells if rr == r and cc < c]
-        if below:
-            cur = (min(below), c)
-        elif left:
-            cur = (r, max(left))
-        else:
-            raise RibbonError(f"ribbon stuck at {cur} before reaching {end}")
-        path.append(cur)
-    raise RibbonError("ribbon walk did not terminate")
+    while path[-1] != end:  # every step goes down or left, so this ends
+        step = down.get(path[-1]) or left.get(path[-1])
+        if step is None:
+            raise RibbonError(f"ribbon stuck at {path[-1]} before reaching {end}")
+        path.append(step)
+    return tuple(path)
 
 
 Tile = tuple[tuple[Cell, ...], int]
@@ -361,11 +347,13 @@ def peel_step(lp: LabeledPolyomino) -> tuple[frozenset[Edge], Polyomino]:
 
 
 def polyomino_edges(poly: Polyomino) -> frozenset[Edge]:
-    """Union of peeled edge sets over the reduction chain down to empty."""
+    """Union of peeled edge sets over the reduction chain down to empty, on
+    the diagram moved so that its leftmost column is 1, as the word is."""
     if not poly.cells:
         return frozenset()
     validate_shape(poly)
-    return peel_edges(poly)
+    shift = min(c for _, c in poly.cells) - 1
+    return peel_edges(Polyomino((r, c - shift) for r, c in poly.cells))
 
 
 def peel_edges(poly: Polyomino) -> frozenset[Edge]:

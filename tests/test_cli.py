@@ -7,10 +7,11 @@ import random
 import subprocess
 import sys
 import time
+from itertools import permutations, product
 
 import pytest
 
-from permnet import cli
+from permnet import cli, diagram, perm
 
 
 def run(*argv):
@@ -90,6 +91,30 @@ class TestConvert:
             assert direct[0] == 0
             assert direct == run("convert", "--from", "network", "--to", "polyomino",
                                  net_text.strip())
+
+    def test_polyomino_routes_ignore_where_the_diagram_sits(self, capsys):
+        """``--to network|forest`` agree with ``--to perm`` at every offset:
+        empty columns left of the diagram are not fixed points."""
+        shapes = set()
+        for n in range(2, 6):
+            for word in permutations(range(1, n + 1)):
+                cells = diagram.rothe_diagram(word).cells
+                try:
+                    diagram.validate_shape(diagram.Polyomino(cells))
+                except diagram.PolyominoError:
+                    continue
+                shapes.add(cells)
+        assert len(shapes) == 80
+        for cells, dr, dc in product(shapes, (0, 2), (0, 2)):
+            value = json.dumps({"cells": sorted((r + dr, c + dc) for r, c in cells)})
+            code, word = run("convert", "--from", "polyomino", "--to", "perm", value)
+            assert code == 0
+            inverse = perm.format_word(perm.inverse(perm.parse_word(word.strip())))
+            for target in ("network", "forest"):
+                got = run("convert", "--from", "polyomino", "--to", target, value)
+                got_err = capsys.readouterr().err
+                assert got == run("convert", "--from", "perm", "--to", target, inverse), value
+                assert got_err == capsys.readouterr().err
 
     def test_polyomino_to_perm(self):
         code, text = run(
@@ -715,6 +740,19 @@ class TestConvertCeiling:
         value = ",".join(str(v) for v in range(ABOVE_CEILING, 0, -1))
         assert run("convert", "--from", "perm", "--to", "polyomino", value) == (2, "")
         assert str(cli.HARD_MAX_CONVERT_N) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("target", ["perm", "network", "forest"])
+    def test_polyomino_degree_is_read_before_any_peel(self, target, monkeypatch, capsys):
+        """A bar of k cells in one column has degree k + 1."""
+        def refuse(*_args):
+            raise AssertionError("a polyomino above the ceiling was peeled")
+
+        monkeypatch.setattr(cli.diagram, "polyomino_edges", refuse)
+        monkeypatch.setattr(cli.diagram, "peel_edges", refuse)
+        bar = json.dumps({"cells": [[r, 1] for r in range(1, 2050)]})
+        assert run("convert", "--from", "polyomino", "--to", target, bar) == (2, "")
+        assert f"degree 2050 exceeds the convert limit {cli.HARD_MAX_CONVERT_N}" in (
+            capsys.readouterr().err)
 
     def test_degree_at_ceiling_converts(self):
         n = cli.HARD_MAX_CONVERT_N

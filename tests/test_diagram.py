@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 from itertools import permutations, product
 from math import factorial
 
@@ -289,6 +290,134 @@ class TestPeeling:
             expected = network.from_permutation(perm.inverse(word)).edges
             assert diagram.polyomino_edges(poly) == expected
         assert tested == 816
+
+
+def renumbering_word_and_labels(poly):
+    """Oracle: the row recursion that renumbers the whole older word for
+    every row and completes it with the values still missing."""
+    rows = diagram._rows(poly.cells)
+    word, slots, prev_cols = [], [], None
+    for r in sorted(rows, reverse=True):
+        cols = rows[r]
+        left_count = len(cols) if prev_cols is None else sum(1 for c in cols if c < prev_cols[0])
+        seq = [len(cols) + 1] + list(range(1, left_count + 1))
+        seq_slots = [("east", (r, cols[-1]))] + [
+            ("south", (r, cols[0] + i)) for i in range(left_count)
+        ]
+        if not word:
+            word, slots = seq, seq_slots
+        else:
+            taken = set(seq)
+            free = [v for v in range(1, len(seq) + len(word) + len(taken) + 2) if v not in taken]
+            word = seq + [free[v - 1] for v in word]
+            slots = seq_slots + slots
+        have = set(word)
+        missing = [v for v in range(1, max(word) + 1) if v not in have]
+        word = word + missing
+        slots = slots + [("pending", (r, 0))] * len(missing)
+        prev_cols = cols
+    return word, slots
+
+
+def scanning_ribbon(lp):
+    """Oracle: the ribbon walk that scans every cell for each step's
+    nearest cell below, then its nearest cell to the left."""
+    cells = lp.poly.cells
+    if not cells:
+        raise diagram.RibbonError("empty polyomino has no ribbon")
+    if not lp.east:
+        raise diagram.RibbonError("no east labels to start the ribbon from")
+    start = max(lp.east, key=lambda cell: lp.east[cell])
+    bottom = max(r for r, _ in cells)
+    end = (bottom, min(c for r, c in cells if r == bottom))
+    path = [start]
+    cur = start
+    for _ in range(len(cells) + 1):
+        if cur == end:
+            return tuple(path)
+        r, c = cur
+        below = [rr for rr, cc in cells if cc == c and rr > r]
+        left = [cc for rr, cc in cells if rr == r and cc < c]
+        if below:
+            cur = (min(below), c)
+        elif left:
+            cur = (r, max(left))
+        else:
+            raise diagram.RibbonError(f"ribbon stuck at {cur} before reaching {end}")
+        path.append(cur)
+    raise diagram.RibbonError("ribbon walk did not terminate")
+
+
+def outcome(f, *args):
+    """A call's value, or the type, condition and message of its error."""
+    try:
+        value = f(*args)
+    except (PolyominoError, diagram.RibbonError) as exc:
+        return "raised", type(exc).__name__, getattr(exc, "condition", None), str(exc)
+    if isinstance(value, diagram.LabeledPolyomino):
+        return value.east, value.south
+    return value
+
+
+class TestPeelOracle:
+    """The value-ordered slot list and the neighbour-map walk against the
+    renumbering recursion and the scanning walk they replace."""
+
+    @pytest.fixture
+    def compare(self, monkeypatch):
+        def oracle_labels(poly):
+            with monkeypatch.context() as m:
+                m.setattr(diagram, "_build_word_and_labels", renumbering_word_and_labels)
+                m.setattr(diagram, "boundary_ribbon", scanning_ribbon)
+                return outcome(diagram.label_polyomino, poly)
+
+        def check(cells):
+            """Compares word, slots, labels and ribbon; names what happened."""
+            poly = diagram.Polyomino(cells)
+            assert (outcome(diagram._build_word_and_labels, poly)
+                    == outcome(renumbering_word_and_labels, poly)), cells
+            labels = outcome(diagram.label_polyomino, poly)
+            assert labels == oracle_labels(poly), cells
+            if labels[0] == "raised":
+                return labels[2] or labels[1]
+            lp = diagram.LabeledPolyomino(poly, *labels)
+            ribbon = outcome(diagram.boundary_ribbon, lp)
+            assert ribbon == outcome(scanning_ribbon, lp), cells
+            return "stuck ribbon" if ribbon[0] == "raised" else "ribbon"
+        return check
+
+    def test_every_subset_of_a_3x4_box(self, compare):
+        box = [(r, c) for r in range(1, 4) for c in range(1, 5)]
+        tally = Counter(compare([cell for i, cell in enumerate(box) if mask >> i & 1])
+                        for mask in range(1, 1 << len(box)))
+        assert tally == {diagram.COND_ROWS: 2292, "RibbonError": 13,
+                         "stuck ribbon": 90, "ribbon": 1700}
+
+    def test_seeded_subsets_of_a_6x6_box_at_random_offsets(self, compare):
+        rng = random.Random(23)
+        seen = set()
+        for _ in range(3000):
+            dr, dc = rng.randrange(4), rng.randrange(4)
+            density = rng.choice((0.5, 0.7, 0.85, 0.95))
+            seen.add(compare([(r + dr, c + dc) for r in range(1, 7) for c in range(1, 7)
+                              if rng.random() < density]))
+        assert seen == {diagram.COND_ROWS, "ribbon"}
+
+    def test_every_strip_of_every_peel_chain_to_degree_seven(self, compare):
+        diagrams = set()
+        for n in range(2, 8):
+            for w in permutations(range(1, n + 1)):
+                cells = diagram.rothe_diagram(w).cells
+                if cells and shape_condition(cells) is None:
+                    diagrams.add(cells)
+        strips = 0
+        for cells in diagrams:
+            current = diagram.Polyomino(cells)
+            while current.cells:
+                compare(current.cells)
+                _edges, current = diagram.peel_step(diagram.label_polyomino(current))
+                strips += 1
+        assert (len(diagrams), strips) == (2085, 6547)
 
 
 def rothe_cells(word):
