@@ -347,8 +347,8 @@ def peel_step(lp: LabeledPolyomino) -> tuple[frozenset[Edge], Polyomino]:
 
 
 def polyomino_edges(poly: Polyomino) -> frozenset[Edge]:
-    """Union of peeled edge sets over the reduction chain down to empty, on
-    the diagram moved so that its leftmost column is 1, as the word is."""
+    """Union of peeled edge sets over the reduction chain down to empty, for
+    the diagram moved to start at column 1: its word ignores its position too."""
     if not poly.cells:
         return frozenset()
     validate_shape(poly)
