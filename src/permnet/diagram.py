@@ -215,10 +215,7 @@ def label_polyomino(poly: Polyomino) -> LabeledPolyomino:
             continue
         r, c = cell
         target = east if kind == "east" else south
-        spot = (r, back[c])
-        if spot in target:
-            raise PolyominoError(COND_ROWS, f"duplicate label slot at {spot}")
-        target[spot] = lift(value, back[c])
+        target[r, back[c]] = lift(value, back[c])
     if pending:
         draft = LabeledPolyomino(poly=poly, east=east, south=south)
         ribbon = boundary_ribbon(draft)

@@ -11,7 +11,8 @@ and ``out`` that force it.  It serves the join (``|`` plus one forcing
 pass), the Mobius closed form (mu(x, y) is 0 unless x holds every edge
 the table forces in y, else (-1) to the rank difference) and the walk
 over int masks that lists a signature's networks for the direct
-Whitney count and ``signature_networks``.  One forcing pass closes a
+Whitney count, ``signature_networks`` and ``write_hasse``, which finds
+covers by one-bit lookups on the masks.  One forcing pass closes a
 union, since forced edges force nothing new: (j, k) is forced when the
 smallest source into k lies below j and the largest sink out of j lies
 above k, and adding (j, k) moves neither of those two tables.  One
@@ -41,7 +42,6 @@ from .network import (
     forced_edges,
     label_key,
     max_network,
-    sorted_edges,
     strip_neutral,
 )
 
@@ -224,19 +224,6 @@ class NetworkLattice:
             return 0
         return -1 if (self.ranks[yi] - self.ranks[xi]) % 2 else 1
 
-    # -- output --
-
-    def to_dot(self) -> str:
-        lines = ["digraph lattice {", "  rankdir=BT;", "  node [shape=box];"]
-        for i, net in enumerate(self.elements):
-            body = ",".join(f"({a},{b})" for a, b in sorted_edges(net)) or "empty"
-            lines.append(f'  n{i} [label="{body}"];')
-        for i, up in enumerate(self.up_adj):  # sorted by (i, w) already
-            for w, e in up:
-                lines.append(f'  n{i} -> n{w} [label="{self.label_rank[e]}"];')
-        lines.append("}")
-        return "\n".join(lines)
-
 
 def _bits(mask: int) -> Iterator[int]:
     while mask:
@@ -254,16 +241,9 @@ def build_lattice(eps: Sequence[int]) -> NetworkLattice:
     labels = sorted(max_network(eps).edges, key=label_key)
     label_rank = {e: r for r, e in enumerate(labels, start=1)}
     edge_masks = tuple(sum(1 << label_rank[e] - 1 for e in net.edges) for net in elements)
-    mask_index = {m: i for i, m in enumerate(edge_masks)}
+    mask_index, up = _covers(edge_masks, labels)
     if (1 << len(labels)) - 1 not in mask_index:
         raise LatticeError("maximal network missing from enumeration")
-    # Each list grows in yi order, and one cover per yi: already sorted.
-    up: list[list[tuple[int, Edge]]] = [[] for _ in elements]
-    for yi, m in enumerate(edge_masks):
-        for b in _bits(m):
-            xi = mask_index.get(m ^ 1 << b)
-            if xi is not None:
-                up[xi].append((yi, labels[b]))
     up_adj = tuple(map(tuple, up))
     up_masks, down_masks = _order_masks(up_adj)
     return NetworkLattice(
@@ -278,6 +258,19 @@ def build_lattice(eps: Sequence[int]) -> NetworkLattice:
         down_masks=down_masks,
         _forced_by=tuple((1 << b, i, o) for b, (i, o) in enumerate(_forcing_table(labels)) if i),
     )
+
+
+def _covers(masks: Sequence[int], labels: Sequence) -> tuple[dict[int, int], list[list]]:
+    """Each mask's index, and per index its upper covers (index, labels[b]),
+    b the bit the cover adds; masks sorted by rank give sorted lists."""
+    mask_index = {m: i for i, m in enumerate(masks)}
+    up: list[list] = [[] for _ in masks]
+    for yi, m in enumerate(masks):
+        for b in _bits(m):
+            xi = mask_index.get(m ^ 1 << b)
+            if xi is not None:
+                up[xi].append((yi, labels[b]))
+    return mask_index, up
 
 
 def _forcing_table(labels: Sequence[Edge]) -> tuple[tuple[int, int], ...]:
@@ -360,16 +353,39 @@ def whitney_direct(eps: Sequence[int]) -> tuple[int, ...]:
     return tuple(counts)
 
 
-def signature_networks(eps: Sequence[int]) -> list[Network]:
-    """All networks fitting ``eps``, on its own points (neutral points
-    kept, and touched by no edge), from the closed masks of its forcing
-    table: no word is peeled.  Sorted as ``enumerate_networks`` sorts
-    them, by rank and then by the edges in label order."""
-    eps = check_signature(eps)
+def _sorted_walk(eps: Signature) -> list[tuple[int, tuple[Edge, ...], int]]:
+    """Every network fitting ``eps`` as (rank, edges in label order, edge mask)
+    from the closed masks of its forcing table, no word peeled and no ``Network``
+    made, sorted as ``enumerate_networks`` sorts: positions are element indices."""
     labels = sorted(max_network(eps).edges, key=label_key)
-    keyed = sorted((m.bit_count(), tuple(labels[b] for b in _bits(m)))
-                   for m in _closed_masks(_forcing_table(labels)))
-    return [Network(len(eps), frozenset(edges)) for _, edges in keyed]
+    return sorted((m.bit_count(), tuple(labels[b] for b in _bits(m)), m)
+                  for m in _closed_masks(_forcing_table(labels)))
+
+
+def signature_networks(eps: Sequence[int]) -> list[Network]:
+    """All networks fitting ``eps``, neutral points kept, in ``_sorted_walk``'s order."""
+    eps = check_signature(eps)
+    return [Network(len(eps), frozenset(edges)) for _, edges, _ in _sorted_walk(eps)]
+
+
+def write_hasse(eps: Sequence[int], fmt: str, out) -> None:
+    """Write the lattice of ``eps`` (neutral points stripped) to ``out`` a line
+    at a time, in ``build_lattice``'s element order: ``text`` lists each element
+    with its rank, ``dot`` draws the Hasse diagram, each cover labeled by the
+    rank of the edge it adds.  No word is peeled and no order mask built."""
+    eps = strip_neutral(check_signature(eps))
+    walk, dot = _sorted_walk(eps), fmt == "dot"
+    if dot:
+        out.write("digraph lattice {\n  rankdir=BT;\n  node [shape=box];\n")
+    for i, (rank, edges, _) in enumerate(walk):
+        body = ",".join(f"({a},{b})" for a, b in edges)
+        out.write(f'  n{i} [label="{body or "empty"}"];\n' if dot
+                  else f"{i} rank={rank} n={len(eps)}; edges={body}\n")
+    if dot:  # the top, last in the walk, holds every label
+        for i, up in enumerate(_covers([m for *_, m in walk], range(1, walk[-1][0] + 1))[1]):
+            for w, r in up:
+                out.write(f'  n{i} -> n{w} [label="{r}"];\n')
+        out.write("}\n")
 
 
 @lru_cache(maxsize=None)

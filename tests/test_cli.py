@@ -496,13 +496,18 @@ class TestConfig:
     )
     def test_lattice_verbs_stop_at_enumeration_cap(self, tmp_path, monkeypatch, argv):
         """A raised max_eps_len does not reach the lattice verbs: they
-        refuse lengths past the enumeration cap before building."""
+        refuse lengths past the enumeration cap before building the
+        lattice or walking the forcing table."""
         from permnet import poset
 
         def build_lattice(eps):
             raise AssertionError(f"lattice built for length {len(eps)}")
 
+        def closed_masks(table):
+            raise AssertionError(f"walk run on {len(table)} edges")
+
         monkeypatch.setattr(poset, "build_lattice", build_lattice)
+        monkeypatch.setattr(poset, "_closed_masks", closed_masks)
         cfg = tmp_path / "caps.txt"
         cfg.write_text("max_eps_len=10\n")
         code, text = run("--config", str(cfg), *argv)

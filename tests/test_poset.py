@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import io
 import itertools
 import random
 
@@ -518,10 +519,56 @@ class TestBooleanCheck:
         assert len(lat.elements) == 8  # three independent edges
 
 
-class TestDot:
-    def test_node_count(self, lat4):
-        dot = lat4.to_dot()
-        assert dot.count("[label=") == 14 + sum(len(a) for a in lat4.up_adj)
+def hasse_oracle(lat, fmt):
+    """What ``render --poset`` wrote when it drew ``build_lattice``'s
+    lattice: the former ``NetworkLattice.to_dot``, or one text line per
+    element."""
+    if fmt == "text":
+        return "".join(f"{i} rank={lat.ranks[i]} {network.format_network(net)}\n"
+                       for i, net in enumerate(lat.elements))
+    lines = ["digraph lattice {", "  rankdir=BT;", "  node [shape=box];"]
+    for i, net in enumerate(lat.elements):
+        body = ",".join(f"({a},{b})" for a, b in network.sorted_edges(net)) or "empty"
+        lines.append(f'  n{i} [label="{body}"];')
+    for i, up in enumerate(lat.up_adj):  # sorted by (i, w) already
+        for w, e in up:
+            lines.append(f'  n{i} -> n{w} [label="{lat.label_rank[e]}"];')
+    lines.append("}")
+    return "\n".join(lines) + "\n"
 
-    def test_deterministic(self, lat4):
-        assert lat4.to_dot() == build_lattice(sig("++--")).to_dot()
+
+def assert_same_lines(got, want, what):
+    """A plain assert would diff megabytes of DOT; name the first line that differs."""
+    if got != want:
+        pairs = itertools.zip_longest(got.splitlines(True), want.splitlines(True))
+        i, (g, w) = next((i, p) for i, p in enumerate(pairs) if p[0] != p[1])
+        pytest.fail(f"{what}, line {i}: {g!r} != {w!r}")
+
+
+def hasse(text, fmt):
+    out = io.StringIO()
+    poset.write_hasse(sig(text), fmt, out)
+    return out.getvalue()
+
+
+SMALL = ["+" + "".join(t) for length in range(6) for t in itertools.product("+-", repeat=length)]
+SEVEN = ["+" + "".join(t) for t in itertools.product("+-", repeat=6)]
+
+
+class TestHasse:
+    @pytest.mark.parametrize("signatures", [
+        ["", "+0+--0", *SMALL],
+        random.Random(7).sample(SEVEN, 4),
+        ["++++----"],
+    ], ids=["length-up-to-6", "length-7-sample", "length-8"])
+    def test_walk_matches_lattice_oracle(self, signatures):
+        """``write_hasse`` reads the forcing-table walk and ``hasse_oracle``
+        the word scan's lattice; both formats must agree byte for byte,
+        and the DOT holds one label per element and per cover, every time."""
+        for text in signatures:
+            lat = build_lattice(sig(text))
+            dot = hasse(text, "dot")
+            assert dot.count("[label=") == len(lat.elements) + sum(map(len, lat.up_adj))
+            assert_same_lines(dot, hasse(text, "dot"), f"{text} dot, twice")
+            assert_same_lines(dot, hasse_oracle(lat, "dot"), f"{text} dot")
+            assert_same_lines(hasse(text, "text"), hasse_oracle(lat, "text"), f"{text} text")
