@@ -555,6 +555,15 @@ SMALL = ["+" + "".join(t) for length in range(6) for t in itertools.product("+-"
 SEVEN = ["+" + "".join(t) for t in itertools.product("+-", repeat=6)]
 
 
+class TestDot:
+    def test_node_count(self, lat4):
+        dot = hasse("++--", "dot")
+        assert dot.count("[label=") == 14 + sum(len(a) for a in lat4.up_adj)
+
+    def test_deterministic(self):
+        assert hasse("++--", "dot") == hasse("++--", "dot")
+
+
 class TestHasse:
     @pytest.mark.parametrize("signatures", [
         ["", "+0+--0", *SMALL],
