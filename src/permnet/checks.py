@@ -10,9 +10,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import permutations as all_words
-from typing import Optional
+from typing import Iterator, Optional
 
 from . import diagram, forest, network, perm, poset
+
+# The errors the library raises on an object it cannot take.
+LIBRARY_ERRORS = (perm.PermError, network.NetworkError, diagram.PolyominoError,
+                  diagram.RibbonError, forest.ForestError, poset.LatticeError)
 
 
 @dataclass
@@ -174,7 +178,7 @@ def check_lattice(lat: poset.NetworkLattice) -> list[CheckResult]:
     for x in range(n):
         for y in range(n):
             m, j = meet(x, y), join(x, y)
-            if (down[x] & down[y] != down[m] or up[x] & up[y] != up[j]
+            if (None in (m, j) or down[x] & down[y] != down[m] or up[x] & up[y] != up[j]
                     or meet(x, j) != x or join(x, m) != x):
                 bad = (x, y)
                 break
@@ -289,7 +293,7 @@ def run_suite(
     n: Optional[int] = None,
     eps: Optional[str] = None,
     bound: Optional[int] = None,
-) -> list[CheckResult]:
+) -> Iterator[CheckResult]:
     """Run one named suite; ``all`` runs everything at desk-scale bounds.
 
     ``bound`` caps the signature length and stands in for a missing ``n``;
@@ -299,6 +303,8 @@ def run_suite(
     Before a suite runs, BoundError refuses for ``forest`` and ``all`` an
     ``eps`` that does not end with a sink, and for ``lattice`` and ``all``
     one past the lattice suite's limit: its pairs grow as the square.
+    All of that is raised at the call; results then come as each check
+    ends, and a library error raised by a check is a failed result.
     """
     if suite != "all" and suite not in MAX_N and suite not in MAX_LENGTH:
         raise ValueError(f"unknown suite: {suite}")
@@ -323,19 +329,27 @@ def run_suite(
     suites = {"bijection": check_bijection, "polyomino": check_polyomino,
               "rothe": check_rothe, "forest": check_forest, "lattice": check_lattice,
               "whitney": check_whitney, "mobius": check_mobius, "el": check_el}
-    lattices: dict[network.Signature, poset.NetworkLattice] = {}
-    results: list[CheckResult] = []
-    for name, check in suites.items():
-        if suite not in (name, "all"):
-            continue
-        if name in MAX_N:
-            results += check(5 if n is None else n)
-            continue
-        default = 6 if name == "whitney" else 5
-        for e in fixed or signatures_up_to(default if bound is None else bound):
-            if name in ("lattice", "mobius", "el"):  # the suites that take a lattice
-                if e not in lattices:
-                    lattices[e] = poset.build_lattice(e)
-                e = lattices[e]
-            results += check(e)
-    return results
+
+    def results() -> Iterator[CheckResult]:
+        lattices: dict[network.Signature, poset.NetworkLattice] = {}
+        for name, check in suites.items():
+            if suite not in (name, "all"):
+                continue
+            if name in MAX_N:
+                args = [5 if n is None else n]
+            else:
+                default = 6 if name == "whitney" else 5
+                args = fixed or signatures_up_to(default if bound is None else bound)
+            for arg in args:
+                try:
+                    if name in ("lattice", "mobius", "el"):  # the suites that take a lattice
+                        if arg not in lattices:
+                            lattices[arg] = poset.build_lattice(arg)
+                        done = check(lattices[arg])
+                    else:
+                        done = check(arg)
+                except LIBRARY_ERRORS as exc:
+                    where = f"n={arg}" if name in MAX_N else network.format_signature(arg)
+                    done = [CheckResult(name, False, f"raised {type(exc).__name__}: {exc}", where)]
+                yield from done
+    return results()

@@ -176,8 +176,9 @@ def cmd_verify(args, out, caps) -> int:
     except checks.BoundError as exc:
         raise CliError(str(exc), EXIT_USAGE) from None
     failed = False
-    for res in results:
+    for res in results:  # each line is written as its check completes
         out.write(res.line() + "\n")
+        out.flush()
         failed = failed or not res.passed
     return EXIT_VERIFY if failed else EXIT_OK
 
@@ -324,8 +325,7 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
-    except (perm.PermError, network.NetworkError, diagram.PolyominoError,
-            diagram.RibbonError, forest.ForestError, poset.LatticeError) as exc:
+    except checks.LIBRARY_ERRORS as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return EXIT_INVALID
 

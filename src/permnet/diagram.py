@@ -270,36 +270,32 @@ Tile = tuple[tuple[Cell, ...], int]
 def maximal_dyck_tiling(ribbon: Sequence[Cell]) -> list[Tile]:
     """Partition a ribbon into maximal Dyck tiles.
 
-    The ribbon is scanned from its maximal-label end; each tile is the
+    The ribbon is read from its maximal-label end; each tile is the
     longest run from the current cell whose step word is a Dyck path
     (reading away from the start, every prefix has at least as many left
     steps as down steps, with equal totals).  A tile of 2k+1 cells has
-    size k.
+    size k.  One pass matches each down step with the nearest open left
+    step before it; a tile then runs through consecutive matched blocks.
     """
+    closes: dict[int, int] = {}  # cell of a left step -> cell after its matching down
+    opens: list[int] = []
+    for j, ((r0, c0), (r1, c1)) in enumerate(zip(ribbon, ribbon[1:])):
+        if r0 == r1 and c1 < c0:
+            opens.append(j)
+        elif c0 == c1 and r1 > r0:
+            if opens:
+                closes[opens.pop()] = j + 1
+        else:
+            raise RibbonError(f"non-adjacent ribbon cells {ribbon[j]}, {ribbon[j+1]}")
     tiles: list[Tile] = []
     i = 0
-    n = len(ribbon)
-    while i < n:
-        best = i
-        lefts = downs = 0
+    while i < len(ribbon):
         j = i
-        while j + 1 < n:
-            r0, c0 = ribbon[j]
-            r1, c1 = ribbon[j + 1]
-            if r0 == r1 and c1 < c0:
-                lefts += 1
-            elif c0 == c1 and r1 > r0:
-                downs += 1
-            else:
-                raise RibbonError(f"non-adjacent ribbon cells {ribbon[j]}, {ribbon[j+1]}")
-            if downs > lefts:
-                break
-            j += 1
-            if lefts == downs:
-                best = j
-        run = tuple(ribbon[i : best + 1])
+        while j in closes:
+            j = closes[j]
+        run = tuple(ribbon[i : j + 1])
         tiles.append((run, (len(run) - 1) // 2))
-        i = best + 1
+        i = j + 1
     return tiles
 
 

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache, reduce
 from itertools import combinations
 from operator import and_
-from typing import Iterator, Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence
 
 from .network import (
     Edge,
@@ -44,8 +44,6 @@ from .network import (
     max_network,
     strip_neutral,
 )
-
-ElementRef = Union[int, Network]
 
 
 class LatticeError(ValueError):
@@ -77,12 +75,7 @@ class NetworkLattice:
 
     # -- element addressing --
 
-    def idx(self, x: ElementRef) -> int:
-        if isinstance(x, Network):
-            try:
-                return self.mask_index[sum(1 << self.label_rank[e] - 1 for e in x.edges)]
-            except KeyError:
-                raise LatticeError(f"network not in lattice: {x}") from None
+    def idx(self, x: int) -> int:
         if not 0 <= x < len(self.elements):
             raise LatticeError(f"bad element index {x}")
         return x
@@ -97,13 +90,6 @@ class NetworkLattice:
 
     # -- lattice operations --
 
-    def _element(self, mask: int, op: str) -> int:
-        try:
-            return self.mask_index[mask]
-        except KeyError:
-            edges = sorted(e for e, r in self.label_rank.items() if mask >> r - 1 & 1)
-            raise LatticeError(f"{op} left the lattice: {edges}") from None
-
     def _forced(self, mask: int) -> int:
         """The edges that crossing pairs inside ``mask`` force, as a mask."""
         forced = 0
@@ -112,25 +98,27 @@ class NetworkLattice:
                 forced |= f
         return forced
 
-    def meet_index(self, xi: int, yi: int) -> int:
-        """Meet of two element indices (not range-checked), as an index."""
-        return self._element(self.edge_masks[xi] & self.edge_masks[yi], "meet")
+    def meet_index(self, xi: int, yi: int) -> Optional[int]:
+        """Meet of two element indices (not range-checked), as an index;
+        None if the intersection is not an element."""
+        return self.mask_index.get(self.edge_masks[xi] & self.edge_masks[yi])
 
-    def join_index(self, xi: int, yi: int) -> int:
+    def join_index(self, xi: int, yi: int) -> Optional[int]:
         """Join of two element indices (not range-checked), as an index:
-        the union plus the edges it forces, which force nothing more."""
+        the union plus the edges it forces, which force nothing more;
+        None if that is not an element."""
         union = self.edge_masks[xi] | self.edge_masks[yi]
-        return self._element(union | self._forced(union), "join")
+        return self.mask_index.get(union | self._forced(union))
 
-    def meet(self, x: ElementRef, y: ElementRef) -> Network:
-        return self.elements[self.meet_index(self.idx(x), self.idx(y))]
-
-    def join(self, x: ElementRef, y: ElementRef) -> Network:
-        return self.elements[self.join_index(self.idx(x), self.idx(y))]
+    def join(self, x: int, y: int) -> Network:
+        j = self.join_index(self.idx(x), self.idx(y))
+        if j is None:
+            raise LatticeError(f"join of {x} and {y} left the lattice")
+        return self.elements[j]
 
     # -- edge labels and chains --
 
-    def _interval(self, x: ElementRef, y: ElementRef) -> tuple[int, int]:
+    def _interval(self, x: int, y: int) -> tuple[int, int]:
         xi, yi = self.idx(x), self.idx(y)
         if not self.down_masks[yi] >> xi & 1:
             raise LatticeError("x not below y")
@@ -174,24 +162,24 @@ class NetworkLattice:
         self._row_last = (xi, row)
         return row
 
-    def rising_chains(self, x: ElementRef, y: ElementRef) -> int:
+    def rising_chains(self, x: int, y: int) -> int:
         """Number of maximal chains of [x, y] whose labels increase in the
         edge order."""
         xi, yi = self._interval(x, y)
         return sum(self._row(xi)[1][yi])
 
-    def decreasing_chain_count(self, x: ElementRef, y: ElementRef) -> int:
+    def decreasing_chain_count(self, x: int, y: int) -> int:
         """Number of maximal chains of [x, y] with strictly decreasing labels."""
         xi, yi = self._interval(x, y)
         return sum(self._row(xi)[2][yi])
 
-    def lex_least_labels(self, x: ElementRef, y: ElementRef) -> tuple[int, ...]:
+    def lex_least_labels(self, x: int, y: int) -> tuple[int, ...]:
         """The lexicographically least label word (label ranks, bottom
         first) over the maximal chains of [x, y]."""
         xi, yi = self._interval(x, y)
         return self._row(xi)[3][yi]
 
-    def snelling_check(self, x: ElementRef, y: ElementRef) -> bool:
+    def snelling_check(self, x: int, y: int) -> bool:
         """Every cover adds exactly its label's edge, and the order is
         edge-set inclusion; so every maximal chain of [x, y] permutes the
         edges of y - x.  Neither depends on the interval, so both are
@@ -213,11 +201,11 @@ class NetworkLattice:
 
     # -- Mobius --
 
-    def mobius_recursive(self, x: ElementRef, y: ElementRef) -> int:
+    def mobius_recursive(self, x: int, y: int) -> int:
         xi, yi = self._interval(x, y)
         return self._row(xi)[0][yi]
 
-    def mobius_closed(self, x: ElementRef, y: ElementRef) -> int:
+    def mobius_closed(self, x: int, y: int) -> int:
         """0 if y has a forced edge that x lacks, else (-1) to the rank difference."""
         xi, yi = self._interval(x, y)
         if self._forced(self.edge_masks[yi]) & ~self.edge_masks[xi]:

@@ -4,6 +4,7 @@ import io
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import time
@@ -11,7 +12,7 @@ from itertools import permutations, product
 
 import pytest
 
-from permnet import cli, diagram, perm
+from permnet import checks, cli, diagram, perm
 
 
 def run(*argv):
@@ -264,6 +265,60 @@ class TestVerify:
         assert len(built) == len(set(built)) == 7  # signatures of length 2..4
         # One scan per lattice; the direct Whitney count scans no words.
         assert len(enumerated) == 7
+
+    def test_lattice_suite_fails_on_a_broken_forcing_table(self, monkeypatch, capsys):
+        """With the first forcing entry zeroed, some join leaves the family:
+        a failed law with exit 1, as ``mobius`` and ``whitney`` report theirs."""
+        from permnet import poset
+
+        table = poset._forcing_table
+
+        def broken(labels):
+            entries = list(table(labels))
+            first = next(b for b, entry in enumerate(entries) if entry != (0, 0))
+            entries[first] = (0, 0)
+            return tuple(entries)
+
+        monkeypatch.setattr(poset, "_forcing_table", broken)
+        code, text = run("verify", "--suite", "lattice", "--eps", "++--")
+        assert code == 1
+        assert re.fullmatch(r"FAIL lattice-laws: [^\n]* \[\(\d+, \d+\)\]\n", text)
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("argv,where", [
+        (("--suite", "polyomino", "--n", "4"), "n=4"),
+        (("--suite", "lattice", "--eps", "++--"), "++--"),
+    ])
+    def test_library_error_inside_a_check_is_a_failure(self, monkeypatch, capsys, argv, where):
+        from permnet import poset
+
+        def peel_step(lp):
+            raise diagram.RibbonError("peel broke")
+
+        def check_lattice(lat):
+            raise poset.LatticeError("join left the lattice")
+
+        monkeypatch.setattr(diagram, "peel_step", peel_step)
+        monkeypatch.setattr(checks, "check_lattice", check_lattice)
+        code, text = run("verify", *argv)
+        error = "RibbonError: peel broke" if argv[1] == "polyomino" else \
+            "LatticeError: join left the lattice"
+        assert (code, text) == (1, f"FAIL {argv[1]}: raised {error} [{where}]\n")
+        assert capsys.readouterr().err == ""
+
+    def test_each_line_is_written_before_the_next_check_runs(self, monkeypatch):
+        """Bounds are refused at the call; then each result reaches ``out``
+        as its check ends."""
+        with pytest.raises(checks.BoundError):
+            checks.run_suite("lattice", bound=8)
+        out, seen = io.StringIO(), []
+        check_el = checks.check_el
+        monkeypatch.setattr(checks, "check_el",
+                            lambda lat: seen.append(out.getvalue()) or check_el(lat))
+        assert cli.main(["verify", "--suite", "all", "--bound", "3"], out=out) == 0
+        text = out.getvalue()
+        first = text.index("PASS el-labeling")
+        assert seen[:2] == [text[:first], text[:text.index("\n", first) + 1]]
 
 
 class TestReports:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import time
 from collections import Counter
 from itertools import permutations, product
 from math import factorial
@@ -418,6 +419,92 @@ class TestPeelOracle:
                 _edges, current = diagram.peel_step(diagram.label_polyomino(current))
                 strips += 1
         assert (len(diagrams), strips) == (2085, 6547)
+
+
+def greedy_dyck_tiling(ribbon):
+    """Oracle: from each tile start, scan forward for the last cell at which
+    left and down steps balance before down steps outnumber left ones."""
+    tiles = []
+    i = 0
+    n = len(ribbon)
+    while i < n:
+        best = i
+        lefts = downs = 0
+        j = i
+        while j + 1 < n:
+            r0, c0 = ribbon[j]
+            r1, c1 = ribbon[j + 1]
+            if r0 == r1 and c1 < c0:
+                lefts += 1
+            elif c0 == c1 and r1 > r0:
+                downs += 1
+            else:
+                raise diagram.RibbonError(f"non-adjacent ribbon cells {ribbon[j]}, {ribbon[j+1]}")
+            if downs > lefts:
+                break
+            j += 1
+            if lefts == downs:
+                best = j
+        run = tuple(ribbon[i : best + 1])
+        tiles.append((run, (len(run) - 1) // 2))
+        i = best + 1
+    return tiles
+
+
+def random_ribbon(rng):
+    """Up to 24 steps: left or down by 1 to 3 (longer steps jump gaps), and
+    one step in 50 diagonal, up, right or standing still."""
+    ribbon = [(rng.randint(1, 5), rng.randint(30, 40))]
+    for _ in range(rng.randrange(24)):
+        r, c = ribbon[-1]
+        kind, jump = rng.random(), rng.choice((1, 1, 1, 2, 3))
+        if kind < 0.49:
+            ribbon.append((r, c - jump))
+        elif kind < 0.98:
+            ribbon.append((r + jump, c))
+        else:
+            ribbon.append(rng.choice(((r + 1, c - 1), (r - 1, c), (r, c + 1), (r, c))))
+    return tuple(ribbon)
+
+
+class TestTilingOracle:
+    """The one-pass tiling against the greedy rescan it replaces: the
+    tiles, or the error's message."""
+
+    def test_every_strip_of_every_accepted_rothe_diagram_to_degree_seven(self):
+        strips = 0
+        for n in range(1, 8):
+            for w in permutations(range(1, n + 1)):
+                current = diagram.rothe_diagram(w)
+                if (not current.cells
+                        or outcome(diagram.polyomino_permutation, current)[0] == "raised"):
+                    continue
+                while current.cells:
+                    lp = diagram.label_polyomino(current)
+                    ribbon = diagram.boundary_ribbon(lp)
+                    assert diagram.maximal_dyck_tiling(ribbon) == greedy_dyck_tiling(ribbon), w
+                    _edges, current = diagram.peel_step(lp)
+                    strips += 1
+        assert strips == 9319
+
+    def test_seeded_step_words_with_gaps_and_bad_steps(self):
+        rng = random.Random(25)
+        tally = Counter()
+        for _ in range(200_000):
+            ribbon = random_ribbon(rng)
+            got = outcome(diagram.maximal_dyck_tiling, ribbon)
+            assert got == outcome(greedy_dyck_tiling, ribbon), ribbon
+            tally["raised" if got[0] == "raised" else max(size for _run, size in got) > 0] += 1
+        assert tally == {True: 128026, False: 32084, "raised": 39890}
+
+    def test_long_bar_is_one_pass(self):
+        """20,000 left steps give one-cell tiles in well under a second; the
+        greedy rescan, quadratic in the run, takes about 20 s."""
+        ribbon = tuple((1, c) for c in range(20_000, 0, -1))
+        start = time.perf_counter()
+        tiles = diagram.maximal_dyck_tiling(ribbon)
+        assert time.perf_counter() - start < 0.5
+        assert tiles == [((cell,), 0) for cell in ribbon]
 
 
 def rothe_cells(word):

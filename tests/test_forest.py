@@ -434,6 +434,6 @@ def test_forest_suite_checks_each_signature_once_per_forest(monkeypatch):
     check = forest.check_forest_signature
     monkeypatch.setattr(forest, "check_forest_signature",
                         lambda eps: calls.append(eps) or check(eps))
-    results = checks.run_suite("forest", bound=6)
+    results = list(checks.run_suite("forest", bound=6))
     assert all(r.passed for r in results)
     assert len(calls) == 1630 + 31 + 31

@@ -10,12 +10,17 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from permnet import checks, forest, network, poset
-from permnet.network import forced_edges, label_key, parse_signature, validate
+from permnet.network import forced_edges, label_key, parse_signature
 from permnet.poset import build_lattice
 
 
 def sig(text):
     return parse_signature(text)
+
+
+def element(lat, edges):
+    """The index of the element with edge set ``edges``, through ``mask_index``."""
+    return lat.mask_index[sum(1 << lat.label_rank[e] - 1 for e in edges)]
 
 
 # -- brute-force oracles on frozensets and explicit chains -------------------
@@ -123,33 +128,32 @@ class TestConstruction:
 
 class TestMeetJoin:
     def test_worked_example(self, lat4):
-        x = validate(4, [(1, 3)])
-        y = validate(4, [(2, 4)])
-        assert lat4.meet(x, y).edges == frozenset()
+        x, y = element(lat4, [(1, 3)]), element(lat4, [(2, 4)])
+        assert lat4.elements[lat4.meet_index(x, y)].edges == frozenset()
         assert lat4.join(x, y).edges == {(1, 3), (2, 4), (2, 3)}
 
     def test_idempotent(self, lat4):
         for i in range(len(lat4.elements)):
-            assert lat4.meet(i, i) == lat4.elements[i]
+            assert lat4.meet_index(i, i) == i
             assert lat4.join(i, i) == lat4.elements[i]
 
     def test_meet_with_top(self, lat4):
         for i in range(len(lat4.elements)):
-            assert lat4.meet(i, lat4.top) == lat4.elements[i]
+            assert lat4.meet_index(i, lat4.top) == i
 
     def test_absorption_all_pairs(self, lat4):
         n = len(lat4.elements)
         for x in range(n):
             for y in range(n):
-                assert lat4.meet(x, lat4.idx(lat4.join(x, y))) == lat4.elements[x]
-                assert lat4.join(x, lat4.idx(lat4.meet(x, y))) == lat4.elements[x]
+                assert lat4.meet_index(x, element(lat4, lat4.join(x, y).edges)) == x
+                assert lat4.join(x, lat4.meet_index(x, y)) == lat4.elements[x]
 
     def test_universal_properties(self, lat4):
         n = len(lat4.elements)
         for x in range(n):
             for y in range(n):
-                m = lat4.idx(lat4.meet(x, y))
-                j = lat4.idx(lat4.join(x, y))
+                m = lat4.meet_index(x, y)
+                j = element(lat4, lat4.join(x, y).edges)
                 assert lat4.down_masks[x] & lat4.down_masks[y] == lat4.down_masks[m]
                 assert lat4.up_masks[x] & lat4.up_masks[y] == lat4.up_masks[j]
 
@@ -174,7 +178,7 @@ class TestMeetJoin:
     def assert_matches_oracle(lat, pairs):
         for x, y in pairs:
             ex, ey = lat.elements[x].edges, lat.elements[y].edges
-            assert lat.meet(x, y).edges == ex & ey
+            assert lat.elements[lat.meet_index(x, y)].edges == ex & ey
             assert lat.join(x, y).edges == completion_closure(ex | ey)
 
     def test_mask_meet_join_match_frozenset_oracle(self):
@@ -192,6 +196,26 @@ class TestMeetJoin:
         self.assert_matches_oracle(
             lat, [(rng.randrange(n), rng.randrange(n)) for _ in range(3000)]
         )
+
+    def test_meet_and_join_outside_the_family_fail_the_lattice_suite(self, lat4):
+        """With the bottom's mask dropped from ``mask_index``, meet and join
+        landing there give None, ``join`` raises, and the suite fails."""
+        mask_index = dict(lat4.mask_index)
+        del mask_index[0]
+        broken = dataclasses.replace(lat4, mask_index=mask_index)
+        x, y = element(lat4, [(1, 3)]), element(lat4, [(2, 4)])
+        assert broken.meet_index(x, y) is None
+        assert broken.join_index(0, 0) is None
+        assert broken.join_index(x, y) == lat4.join_index(x, y)
+        with pytest.raises(poset.LatticeError, match="left the lattice"):
+            broken.join(0, 0)
+        [result] = checks.check_lattice(broken)
+        assert not result.passed
+        assert result.counterexample == "(0, 0)"
+
+    def test_index_is_range_checked(self, lat4):
+        with pytest.raises(poset.LatticeError, match="bad element index 14"):
+            lat4.join(0, 14)
 
 
 def forced_mask(labels, edges):
@@ -333,7 +357,7 @@ class TestEdgeLabels:
                         assert less(a, c)
 
     def test_el_label_is_new_edge(self, lat4):
-        y = lat4.idx(validate(4, [(2, 3)]))
+        y = element(lat4, [(2, 3)])
         labels = dict(lat4.up_adj[lat4.bottom])
         assert labels[y] == (2, 3)
         assert lat4.top not in labels
@@ -349,7 +373,7 @@ class TestCrossingInterval:
 
     @pytest.fixture
     def top(self, lat4):
-        return lat4.idx(validate(4, [(1, 3), (2, 3), (2, 4)]))
+        return element(lat4, [(1, 3), (2, 3), (2, 4)])
 
     def test_interval_size(self, lat4, top):
         assert len(interval(lat4, lat4.bottom, top)) == 7
@@ -442,7 +466,7 @@ class TestChainsAndMobius:
             assert lat4.mobius_recursive(u, v) == lat4.mobius_closed(u, v)
 
     def test_point_interval(self, lat4):
-        i = lat4.idx(validate(4, [(2, 3)]))
+        i = element(lat4, [(2, 3)])
         assert lat4.mobius_recursive(i, i) == 1
         assert lat4.mobius_closed(i, i) == 1
         assert lat4.rising_chains(i, i) == 1
@@ -451,7 +475,7 @@ class TestChainsAndMobius:
     def test_boolean_interval_decreasing_count(self, lat4):
         """Intervals without crossings admit exactly one decreasing chain."""
         x = lat4.bottom
-        y = lat4.idx(validate(4, [(1, 3), (1, 4), (2, 3)]))
+        y = element(lat4, [(1, 3), (1, 4), (2, 3)])
         assert lat4.decreasing_chain_count(x, y) == 1
 
     @pytest.mark.parametrize("eps", ["++--", "+-+-", "++-+--", "+++---"])
@@ -461,7 +485,7 @@ class TestChainsAndMobius:
         assert result.detail.endswith(f" on {INTERVALS[eps]} intervals")
 
     def test_closed_form_matches_recursion_length_seven(self):
-        results = checks.run_suite("mobius", bound=7)
+        results = list(checks.run_suite("mobius", bound=7))
         assert len(results) == 63  # signatures of length 2..7
         assert all(r.passed for r in results)
 
@@ -473,7 +497,7 @@ class TestChainsAndMobius:
         a, b = sorted(lat.elements[t].edges)
         least = min(lat.label_rank, key=lat.label_rank.get)
         c = next(e for e in sorted(lat.label_rank) if e not in (a, b, least))
-        atoms = [lat.idx(validate(6, [e])) for e in (a, b, c)]
+        atoms = [element(lat, [e]) for e in (a, b, c)]
         up_adj = [()] * len(lat.elements)
         up_adj[lat.bottom] = tuple(sorted(zip(atoms, (a, b, c))))
         # Into t: b after a and a after b (one of the two falls), and the
@@ -503,7 +527,7 @@ class TestChainsAndMobius:
     def test_relabeled_cover_fails_rising_count(self, lat4):
         """The cover from the bottom to {(1,4)}, relabeled (2,3), gives
         [bottom, {(1,3),(1,4)}] a second rising chain."""
-        w = lat4.idx(validate(4, [(1, 4)]))
+        w = element(lat4, [(1, 4)])
         up_adj = list(lat4.up_adj)
         up_adj[lat4.bottom] = tuple(
             (v, (2, 3) if v == w else e) for v, e in up_adj[lat4.bottom]
