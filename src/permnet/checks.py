@@ -300,9 +300,9 @@ def run_suite(
     one the suite does not run raises BoundError rather than shrinking,
     and so does ``n`` for a signature suite or ``eps`` for a degree suite.
     ``eps`` is signature text, parsed only once the suite takes it.
-    Before a suite runs, BoundError refuses for ``forest`` and ``all`` an
-    ``eps`` that does not end with a sink, and for ``lattice`` and ``all``
-    one past the lattice suite's limit: its pairs grow as the square.
+    Before a suite runs, BoundError refuses for ``forest`` and ``all`` (and
+    ForestError for ``whitney``) an ``eps`` that does not end with a sink,
+    and BoundError for ``lattice`` and ``all`` one past the lattice limit.
     All of that is raised at the call; results then come as each check
     ends, and a library error raised by a check is a failed result.
     """
@@ -325,6 +325,8 @@ def run_suite(
         if suite in ("lattice", "all") and len(eps) > MAX_LENGTH["lattice"]:
             raise BoundError(f"--eps of length {len(eps)} is past the lattice suite's "
                              f"limit {MAX_LENGTH['lattice']}")
+        if suite == "whitney":
+            forest.check_forest_signature(eps)
         fixed = [eps]
     suites = {"bijection": check_bijection, "polyomino": check_polyomino,
               "rothe": check_rothe, "forest": check_forest, "lattice": check_lattice,
@@ -341,13 +343,11 @@ def run_suite(
                 default = 6 if name == "whitney" else 5
                 args = fixed or signatures_up_to(default if bound is None else bound)
             for arg in args:
+                target = arg
+                if name in ("lattice", "mobius", "el"):  # the suites that take a lattice
+                    target = lattices[arg] = lattices.get(arg) or poset.build_lattice(arg)
                 try:
-                    if name in ("lattice", "mobius", "el"):  # the suites that take a lattice
-                        if arg not in lattices:
-                            lattices[arg] = poset.build_lattice(arg)
-                        done = check(lattices[arg])
-                    else:
-                        done = check(arg)
+                    done = check(target)
                 except LIBRARY_ERRORS as exc:
                     where = f"n={arg}" if name in MAX_N else network.format_signature(arg)
                     done = [CheckResult(name, False, f"raised {type(exc).__name__}: {exc}", where)]

@@ -15,6 +15,8 @@ import pytest
 from permnet import checks, diagram, forest, network, perm, poset
 from permnet.network import parse_signature
 
+from test_poset import element
+
 
 def report(num: int, description: str, ok: bool):
     print(f"{'PASS' if ok else 'FAIL'} criterion {num}: {description}")
@@ -171,7 +173,7 @@ class TestAcceptance:
 
     def test_11_el_mobius_suite(self, el6):
         lat = poset.build_lattice(parse_signature("++--"))
-        top = lat.mask_index[sum(1 << lat.label_rank[e] - 1 for e in [(1, 3), (2, 3), (2, 4)])]
+        top = element(lat, [(1, 3), (2, 3), (2, 4)])
         ok = lat.mobius_recursive(lat.bottom, top) == 0
         for z in poset._bits(lat.up_masks[lat.bottom] & lat.down_masks[top]):
             if z != top:

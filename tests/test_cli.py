@@ -669,6 +669,18 @@ class TestVerifyBounds:
         assert text == ""
         assert "forest suite needs a signature that ends with a sink" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("eps", ["+", "+-+", "++-+", "+0+"])
+    def test_whitney_signature_without_final_sink_is_invalid_input(self, monkeypatch, capsys,
+                                                                   eps):
+        """Its forest count has no such signature: refused before the check
+        runs, so it is invalid input, not a failed Whitney claim."""
+        from permnet import checks
+
+        monkeypatch.setattr(checks, "check_whitney", lambda eps: pytest.fail("check ran"))
+        assert run("verify", "--suite", "whitney", "--eps", eps) == (3, "")
+        assert capsys.readouterr().err.startswith(
+            "invalid input: forest signature must start with + and end with -: +")
+
     @pytest.mark.parametrize("suite", ["lattice", "all"])
     def test_signature_past_lattice_limit_is_usage_error(self, suite, monkeypatch, capsys):
         """The meet/join pairs of ++++---- (6,902 elements) take minutes,
