@@ -65,14 +65,8 @@ def check_bijection(n: int) -> list[CheckResult]:
             counterexample=None if bad is None else perm.format_word(bad),
         )
     )
-    bad_net = next(
-        (
-            net
-            for net in nets
-            if network.from_permutation(network.to_permutation(net)) != net
-        ),
-        None,
-    )
+    bad_net = next((net for net in nets
+                    if network.from_permutation(network.to_permutation(net)) != net), None)
     out.append(
         CheckResult(
             "network-round-trip",
@@ -304,7 +298,8 @@ def run_suite(
     ForestError for ``whitney``) an ``eps`` that does not end with a sink,
     and BoundError for ``lattice`` and ``all`` one past the lattice limit.
     All of that is raised at the call; results then come as each check
-    ends, and a library error raised by a check is a failed result.
+    ends, and a library error raised by a check or by building its lattice
+    is a failed result.
     """
     if suite != "all" and suite not in MAX_N and suite not in MAX_LENGTH:
         raise ValueError(f"unknown suite: {suite}")
@@ -332,8 +327,19 @@ def run_suite(
               "rothe": check_rothe, "forest": check_forest, "lattice": check_lattice,
               "whitney": check_whitney, "mobius": check_mobius, "el": check_el}
 
+    lattices: dict = {}  # each signature's lattice, or the library error building it raised
+
+    def lattice(eps: network.Signature) -> poset.NetworkLattice:
+        if eps not in lattices:
+            try:
+                lattices[eps] = poset.signature_lattice(eps)
+            except LIBRARY_ERRORS as exc:
+                lattices[eps] = exc
+        if isinstance(lattices[eps], Exception):
+            raise lattices[eps]
+        return lattices[eps]
+
     def results() -> Iterator[CheckResult]:
-        lattices: dict[network.Signature, poset.NetworkLattice] = {}
         for name, check in suites.items():
             if suite not in (name, "all"):
                 continue
@@ -343,11 +349,8 @@ def run_suite(
                 default = 6 if name == "whitney" else 5
                 args = fixed or signatures_up_to(default if bound is None else bound)
             for arg in args:
-                target = arg
-                if name in ("lattice", "mobius", "el"):  # the suites that take a lattice
-                    target = lattices[arg] = lattices.get(arg) or poset.build_lattice(arg)
-                try:
-                    done = check(target)
+                try:  # the lattice suites take a lattice, and fail if it cannot be built
+                    done = check(lattice(arg) if name in ("lattice", "mobius", "el") else arg)
                 except LIBRARY_ERRORS as exc:
                     where = f"n={arg}" if name in MAX_N else network.format_signature(arg)
                     done = [CheckResult(name, False, f"raised {type(exc).__name__}: {exc}", where)]

@@ -270,7 +270,7 @@ def enumerate_networks(
     network.  Returns a canonically sorted list.  ``poset.signature_networks``
     lists one signature's networks without the scan; the ``eps`` branch
     stays as the reference the tests hold that walk to, and for
-    ``poset.build_lattice``.
+    ``poset.build_lattice``, which only the ``mobius`` verb calls.
     """
     if n > cap:
         raise NetworkError(ERR_RANGE, f"n={n} exceeds enumeration cap {cap}")

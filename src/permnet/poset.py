@@ -11,8 +11,9 @@ and ``out`` that force it.  It serves the join (``|`` plus one forcing
 pass), the Mobius closed form (mu(x, y) is 0 unless x holds every edge
 the table forces in y, else (-1) to the rank difference) and the walk
 over int masks that lists a signature's networks for the direct
-Whitney count, ``signature_networks`` and ``write_hasse``, which finds
-covers by one-bit lookups on the masks.  One forcing pass closes a
+Whitney count, ``signature_networks`` (so ``signature_lattice``) and
+``write_hasse``, which finds covers by one-bit lookups on the masks;
+``build_lattice`` scans n! words instead.  One forcing pass closes a
 union, since forced edges force nothing new: (j, k) is forced when the
 smallest source into k lies below j and the largest sink out of j lies
 above k, and adding (j, k) moves neither of those two tables.  One
@@ -31,7 +32,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache, reduce
 from itertools import combinations
 from operator import and_
-from typing import Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from .network import (
     Edge,
@@ -221,10 +222,23 @@ def _bits(mask: int) -> Iterator[int]:
 
 
 def build_lattice(eps: Sequence[int]) -> NetworkLattice:
-    """Construct the lattice for ``eps`` (neutral points stripped first);
-    ``enumerate_networks`` refuses lengths past its default cap."""
+    """The lattice for ``eps`` (neutral points stripped first) from the n! word
+    scan ``enumerate_networks``, which refuses lengths past its cap; it is
+    ``signature_lattice``'s oracle in the tests, and the ``mobius`` verb's."""
+    return _lattice(eps, lambda e: enumerate_networks(len(e), e))
+
+
+def signature_lattice(eps: Sequence[int]) -> NetworkLattice:
+    """``build_lattice``'s lattice from ``signature_networks``, no word peeled.
+    Each element still passes ``Network`` validation, whose crossing test
+    does not read the forcing table."""
+    return _lattice(eps, signature_networks)
+
+
+def _lattice(eps: Sequence[int], networks: Callable[[Signature], list]) -> NetworkLattice:
+    """The lattice of ``eps``, neutral points stripped, on ``networks(eps)`` in scan order."""
     eps = strip_neutral(check_signature(eps))
-    elements = tuple(enumerate_networks(len(eps), eps))
+    elements = tuple(networks(eps))
     ranks = tuple(net.rank for net in elements)
     labels = sorted(max_network(eps).edges, key=label_key)
     label_rank = {e: r for r, e in enumerate(labels, start=1)}
@@ -358,7 +372,7 @@ def signature_networks(eps: Sequence[int]) -> list[Network]:
 
 def write_hasse(eps: Sequence[int], fmt: str, out) -> None:
     """Write the lattice of ``eps`` (neutral points stripped) to ``out`` a line
-    at a time, in ``build_lattice``'s element order: ``text`` lists each element
+    at a time, in ``signature_lattice``'s element order: ``text`` lists each element
     with its rank, ``dot`` draws the Hasse diagram, each cover labeled by the
     rank of the edge it adds.  No word is peeled and no order mask built."""
     eps = strip_neutral(check_signature(eps))

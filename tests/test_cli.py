@@ -4,7 +4,6 @@ import io
 import json
 import os
 import random
-import re
 import subprocess
 import sys
 import time
@@ -250,40 +249,101 @@ class TestVerify:
         from permnet import network, poset
 
         built, enumerated = [], []
-        build, scan = poset.build_lattice, network.enumerate_networks
+        build, scan = poset.signature_lattice, network.enumerate_networks
 
         def enumerate_networks(*args, **kwargs):
             enumerated.append(args)
             return scan(*args, **kwargs)
 
-        monkeypatch.setattr(poset, "build_lattice", lambda eps: built.append(eps) or build(eps))
+        monkeypatch.setattr(poset, "signature_lattice", lambda eps: built.append(eps) or build(eps))
         monkeypatch.setattr(poset, "enumerate_networks", enumerate_networks)
         monkeypatch.setattr(network, "enumerate_networks", enumerate_networks)
         code, text = run("verify", "--suite", "all", "--bound", "4")
         assert code == 0
         assert "FAIL" not in text
         assert len(built) == len(set(built)) == 7  # signatures of length 2..4
-        # One scan per lattice; the direct Whitney count scans no words.
-        assert len(enumerated) == 7
+        # Every lattice comes from the walk, and no suite scans words for one.
+        assert enumerated == []
 
-    def test_lattice_suite_fails_on_a_broken_forcing_table(self, monkeypatch, capsys):
-        """With the first forcing entry zeroed, some join leaves the family:
-        a failed law with exit 1, as ``mobius`` and ``whitney`` report theirs."""
+    @staticmethod
+    def break_forcing_table(monkeypatch, edit):
+        """Patch ``poset._forcing_table`` so that ``edit`` rewrites its entries."""
         from permnet import poset
 
         table = poset._forcing_table
 
         def broken(labels):
             entries = list(table(labels))
-            first = next(b for b, entry in enumerate(entries) if entry != (0, 0))
-            entries[first] = (0, 0)
+            edit(entries)
             return tuple(entries)
 
         monkeypatch.setattr(poset, "_forcing_table", broken)
+
+    def test_lattice_suite_fails_on_a_broken_forcing_table(self, monkeypatch, capsys):
+        """With the first forcing entry zeroed, the walk lists an edge set
+        that is not a network, and its validation fails the lattice build:
+        a FAIL line with exit 1, as ``mobius`` and ``whitney`` report theirs."""
+
+        def zero_first(entries):
+            entries[next(b for b, entry in enumerate(entries) if entry != (0, 0))] = (0, 0)
+
+        self.break_forcing_table(monkeypatch, zero_first)
         code, text = run("verify", "--suite", "lattice", "--eps", "++--")
         assert code == 1
-        assert re.fullmatch(r"FAIL lattice-laws: [^\n]* \[\(\d+, \d+\)\]\n", text)
+        assert text == ("FAIL lattice: raised NetworkError: edges (1, 3) and (2, 4) cross "
+                        "but (2, 3) is missing [++--]\n")
         assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("suite,line", [
+        ("lattice", "FAIL lattice-laws: meet/join universal properties and absorption "
+                    "on 14x14 pairs [(0, 6)]"),
+        ("mobius", "FAIL mobius: closed form, recursion and decreasing-chain counts agree "
+                   "on 7 intervals [(0, 6)]"),
+    ])
+    def test_suites_fail_on_an_over_forcing_table(self, monkeypatch, capsys, suite, line):
+        """With bits 0 and 1 forcing the top bit, the walk still lists the 14
+        networks of ++--, but the join and the closed form break."""
+
+        def force_top(entries):
+            entries[-1] = (1 << 0, 1 << 1)
+
+        self.break_forcing_table(monkeypatch, force_top)
+        assert run("verify", "--suite", suite, "--eps", "++--") == (1, line + "\n")
+        assert capsys.readouterr().err == ""
+
+    def test_lattice_that_cannot_be_built_is_a_failure(self, monkeypatch, capsys):
+        """A library error while a suite builds a lattice fails that signature
+        only; under ``all`` the failure is cached, so each suite that takes the
+        lattice prints its own FAIL line without building it again."""
+        from permnet import network, poset
+
+        built, build = [], poset.signature_lattice
+
+        def signature_lattice(eps):
+            built.append(eps)
+            if len(eps) == 4:
+                raise poset.LatticeError("maximal network missing from enumeration")
+            return build(eps)
+
+        monkeypatch.setattr(poset, "signature_lattice", signature_lattice)
+        code, text = run("verify", "--suite", "lattice", "--bound", "5")
+        assert code == 1
+        assert capsys.readouterr().err == ""
+        lines = text.splitlines()
+        fours = [e for e in checks.signatures_up_to(5) if len(e) == 4]
+        assert lines[3:7] == [
+            "FAIL lattice: raised LatticeError: maximal network missing from enumeration "
+            f"[{network.format_signature(e)}]" for e in fours]
+        assert len(lines) == 15
+        assert all(line.startswith("PASS lattice-laws: ") for line in lines[:3] + lines[7:])
+
+        built.clear()
+        code, text = run("verify", "--suite", "all", "--bound", "4")
+        assert code == 1
+        assert capsys.readouterr().err == ""
+        assert len(built) == len(set(built)) == 7
+        failed = [line.split(":")[0] for line in text.splitlines() if line.startswith("FAIL")]
+        assert failed == ["FAIL lattice"] * 4 + ["FAIL mobius"] * 4 + ["FAIL el"] * 4
 
     @pytest.mark.parametrize("argv,where", [
         (("--suite", "polyomino", "--n", "4"), "n=4"),
@@ -690,7 +750,7 @@ class TestVerifyBounds:
         for name in ("check_bijection", "check_forest", "check_lattice", "check_whitney",
                      "check_mobius", "check_el"):
             monkeypatch.setattr(checks, name, lambda *a, name=name: pytest.fail(f"{name} ran"))
-        monkeypatch.setattr(checks.poset, "build_lattice", lambda eps: pytest.fail("built"))
+        monkeypatch.setattr(checks.poset, "signature_lattice", lambda eps: pytest.fail("built"))
         start = time.perf_counter()
         assert run("verify", "--suite", suite, "--eps", "++++----") == (2, "")
         assert time.perf_counter() - start < 1
@@ -706,7 +766,7 @@ class TestVerifyBounds:
 
         ran = []
         monkeypatch.setattr(checks, f"check_{suite}", lambda e: ran.append(e) or [])
-        monkeypatch.setattr(checks.poset, "build_lattice", lambda eps: tuple(eps))
+        monkeypatch.setattr(checks.poset, "signature_lattice", lambda eps: tuple(eps))
         assert run("verify", "--suite", suite, "--eps", "++++----") == (0, "")
         assert ran == [(1, 1, 1, 1, -1, -1, -1, -1)]
 

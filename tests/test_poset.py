@@ -112,6 +112,24 @@ class TestConstruction:
         assert lat.eps == (1, 1, -1, -1)
         assert len(lat.elements) == 14
 
+    def test_walk_and_scan_build_the_same_lattice(self):
+        """``signature_lattice`` (the forcing-table walk) against
+        ``build_lattice`` (the word scan), field by field, on every
+        signature of length <= 7, on ++++---- and on a seeded length-8 sample."""
+        eights = [e for e in checks.signatures_up_to(8) if len(e) == 8]
+        for eps in checks.signatures_up_to(7) + [sig("++++----")] + random.Random(8).sample(eights, 3):
+            walked, scanned = poset.signature_lattice(eps), build_lattice(eps)
+            for f in dataclasses.fields(scanned):
+                if f.compare:
+                    assert getattr(walked, f.name) == getattr(scanned, f.name), (eps, f.name)
+
+    def test_signature_lattice_peels_no_words(self, monkeypatch):
+        calls, original = [], network.from_permutation
+        monkeypatch.setattr(network, "from_permutation", lambda w: calls.append(w) or original(w))
+        assert len(poset.signature_lattice(sig("+0+--0")).elements) == 14
+        assert len(poset.signature_lattice(sig("++++----")).elements) == 6902
+        assert calls == []
+
     def test_rank_equals_edge_count(self, lat4):
         for i, net in enumerate(lat4.elements):
             assert lat4.ranks[i] == net.rank
