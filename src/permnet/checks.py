@@ -165,15 +165,31 @@ def check_forest(eps: network.Signature) -> list[CheckResult]:
 
 
 def check_lattice(lat: poset.NetworkLattice) -> list[CheckResult]:
+    """Meet and join are the universal bounds, and absorb, on all n x n
+    pairs, reporting the first failing pair (x, y) in row-major order.
+
+    ``meet_index`` is ``&`` and ``join_index`` is ``|`` plus a forcing pass
+    on the union, so both are symmetric and the universal-bound test on
+    (x, y) is the one on (y, x).  Absorption is one test per element: an
+    index found in ``mask_index`` has that mask, so join(x, y) holds x's
+    edges and meet(x, join(x, y)) looks up x's own mask, as meet(x, x)
+    does; and join(x, meet(x, y)) joins x's mask with a subset of itself,
+    as join(x, x) does.  So row x fails at (x, 0) when meet(x, x) or
+    join(x, x) is not x, and otherwise at its first y failing the bounds,
+    which is at least x: a failing y below x failed row y first.
+    """
     n = len(lat.elements)
     up, down = lat.up_masks, lat.down_masks
     meet, join = lat.meet_index, lat.join_index
     bad = None
     for x in range(n):
-        for y in range(n):
+        if meet(x, x) != x or join(x, x) != x:
+            bad = (x, 0)
+            break
+        up_x, down_x = up[x], down[x]
+        for y in range(x, n):
             m, j = meet(x, y), join(x, y)
-            if (None in (m, j) or down[x] & down[y] != down[m] or up[x] & up[y] != up[j]
-                    or meet(x, j) != x or join(x, m) != x):
+            if None in (m, j) or down_x & down[y] != down[m] or up_x & up[y] != up[j]:
                 bad = (x, y)
                 break
         if bad:
@@ -296,7 +312,8 @@ def run_suite(
     ``eps`` is signature text, parsed only once the suite takes it.
     Before a suite runs, BoundError refuses for ``forest`` and ``all`` (and
     ForestError for ``whitney``) an ``eps`` that does not end with a sink,
-    and BoundError for ``lattice`` and ``all`` one past the lattice limit.
+    and BoundError for ``lattice`` and ``all`` one past the lattice limit,
+    and for ``mobius`` and ``el`` one past ``network.DEFAULT_CAP``.
     All of that is raised at the call; results then come as each check
     ends, and a library error raised by a check or by building its lattice
     is a failed result.
@@ -320,6 +337,9 @@ def run_suite(
         if suite in ("lattice", "all") and len(eps) > MAX_LENGTH["lattice"]:
             raise BoundError(f"--eps of length {len(eps)} is past the lattice suite's "
                              f"limit {MAX_LENGTH['lattice']}")
+        if suite in ("mobius", "el") and len(eps) > network.DEFAULT_CAP:
+            raise BoundError(f"--eps of length {len(eps)} is past the {suite} suite's "
+                             f"limit {network.DEFAULT_CAP}")
         if suite == "whitney":
             forest.check_forest_signature(eps)
         fixed = [eps]

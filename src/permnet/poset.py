@@ -16,14 +16,18 @@ Whitney count, ``signature_networks`` (so ``signature_lattice``) and
 ``build_lattice`` scans n! words instead.  One forcing pass closes a
 union, since forced edges force nothing new: (j, k) is forced when the
 smallest source into k lies below j and the largest sink out of j lies
-above k, and adding (j, k) moves neither of those two tables.  One
-cached row per bottom x, walked once over up(x) in rank order, holds
+above k, and adding (j, k) moves neither of those two tables.  Each
+element's forced mask is computed once per lattice, for the closed form.
+One cached row per bottom x, walked once over up(x) in rank order, holds
 for every y above x the Mobius value mu(x, y) by the recursion on the
 order masks, the rising and decreasing chain counts, and the lex-least
-label word of [x, y].  With a Snelling check (every cover adds its
-label's edge, and the order is inclusion) these give the EL route and
-three independent Mobius routes: recursion, closed form and decreasing
-chains.
+label word of [x, y].  The chain counts are kept per last label as
+sparse dicts, which hold only the labels some counted chain ends with:
+on an EL-labeled lattice at most one each, as an interval has one
+rising chain and |mu| decreasing ones.  With a Snelling check (every
+cover adds its label's edge, and the order is inclusion) these give the
+EL route and three independent Mobius routes: recursion, closed form and
+decreasing chains.
 """
 
 from __future__ import annotations
@@ -72,6 +76,7 @@ class NetworkLattice:
     down_masks: tuple[int, ...] = field(repr=False, default=())
     _forced_by: tuple[tuple[int, int, int], ...] = field(repr=False, default=())
     _snelling: Optional[bool] = _cache()
+    _forced_masks: Optional[tuple[int, ...]] = _cache()
     _row_last: Optional[tuple[int, tuple[dict, dict, dict, dict]]] = _cache()
 
     # -- element addressing --
@@ -120,45 +125,57 @@ class NetworkLattice:
     # -- edge labels and chains --
 
     def _interval(self, x: int, y: int) -> tuple[int, int]:
-        xi, yi = self.idx(x), self.idx(y)
-        if not self.down_masks[yi] >> xi & 1:
+        n = len(self.elements)
+        if not (0 <= x < n and 0 <= y < n):
+            self.idx(x), self.idx(y)  # raises "bad element index" for the first
+        if not self.down_masks[y] >> x & 1:
             raise LatticeError("x not below y")
-        return xi, yi
+        return x, y
 
     def _row(self, xi: int) -> tuple[dict, dict, dict, dict]:
         """For every y above x: mu(x, y) by the recursion, the rising and
-        decreasing maximal chains of [x, y] by last label (x's empty chain
-        sits at 0 and at len(labels) + 1), and the lex-least label word;
-        one walk over up(x) in index order, which is rank order."""
+        decreasing maximal chains of [x, y] as sparse dicts from last label
+        to count (x's empty chain ends at 0 for rising, at len(labels) + 1
+        for decreasing; a label no counted chain ends with has no key), and
+        the lex-least label word; one walk over up(x) in index order, which
+        is rank order."""
         last = self._row_last
         if last is not None and last[0] == xi:
             return last[1]
-        size = len(self.label_rank) + 2
-        up = self.up_masks[xi]
+        up_adj, label_rank, down_masks = self.up_adj, self.label_rank, self.down_masks
         mobius: dict[int, int] = {}
         valued: dict[int, int] = {}  # mask of the elements given each nonzero mu
-        rising = {xi: [1] + [0] * (size - 1)}
-        falling = {xi: [0] * (size - 1) + [1]}
+        values = valued.items()  # a live view: it sees each new value
+        rising: dict[int, dict[int, int]] = {xi: {0: 1}}
+        falling: dict[int, dict[int, int]] = {xi: {len(label_rank) + 1: 1}}
         lexmin: dict[int, tuple[int, ...]] = {xi: ()}
-        for z in _bits(up):
-            below = up & self.down_masks[z] ^ 1 << z
-            mu = (-sum(v * (m & below).bit_count() for v, m in valued.items())
-                  if below else 1)
+        for z in _bits(self.up_masks[xi]):
+            mu = 1 if z == xi else 0
+            down = down_masks[z]  # valued holds only elements of up(x) before z
+            for v, m in values:
+                mu -= v * (m & down).bit_count()
             mobius[z] = mu
             if mu:
                 valued[mu] = valued.get(mu, 0) | 1 << z
-            rz, fz, lz = rising[z], falling[z], lexmin[z]
-            for w, e in self.up_adj[z]:
-                r = self.label_rank[e]
+            rz, fz, lz = rising[z].items(), falling[z].items(), lexmin[z]
+            for w, e in up_adj[z]:
+                r = label_rank[e]
                 # Graded, so every word into w has the same length and the
                 # least one extends the least word into some lower cover.
                 word = lz + (r,)
-                if w not in lexmin:
-                    rising[w], falling[w], lexmin[w] = [0] * size, [0] * size, word
-                elif word < lexmin[w]:
+                if w in lexmin:
+                    rw, fw = rising[w], falling[w]
+                    if word < lexmin[w]:
+                        lexmin[w] = word
+                else:
+                    rw, fw = rising[w], falling[w] = {}, {}
                     lexmin[w] = word
-                rising[w][r] += sum(rz[:r])
-                falling[w][r] += sum(fz[r + 1:])
+                for s, c in rz:  # counts are never 0, so a key is a chain end
+                    if s < r:
+                        rw[r] = rw.get(r, 0) + c
+                for s, c in fz:
+                    if s > r:
+                        fw[r] = fw.get(r, 0) + c
         row = mobius, rising, falling, lexmin
         self._row_last = (xi, row)
         return row
@@ -167,12 +184,12 @@ class NetworkLattice:
         """Number of maximal chains of [x, y] whose labels increase in the
         edge order."""
         xi, yi = self._interval(x, y)
-        return sum(self._row(xi)[1][yi])
+        return sum(self._row(xi)[1][yi].values())
 
     def decreasing_chain_count(self, x: int, y: int) -> int:
         """Number of maximal chains of [x, y] with strictly decreasing labels."""
         xi, yi = self._interval(x, y)
-        return sum(self._row(xi)[2][yi])
+        return sum(self._row(xi)[2][yi].values())
 
     def lex_least_labels(self, x: int, y: int) -> tuple[int, ...]:
         """The lexicographically least label word (label ranks, bottom
@@ -207,9 +224,12 @@ class NetworkLattice:
         return self._row(xi)[0][yi]
 
     def mobius_closed(self, x: int, y: int) -> int:
-        """0 if y has a forced edge that x lacks, else (-1) to the rank difference."""
+        """0 if y has a forced edge that x lacks, else (-1) to the rank
+        difference; each element's forced mask is found once per lattice."""
         xi, yi = self._interval(x, y)
-        if self._forced(self.edge_masks[yi]) & ~self.edge_masks[xi]:
+        if self._forced_masks is None:
+            self._forced_masks = tuple(map(self._forced, self.edge_masks))
+        if self._forced_masks[yi] & ~self.edge_masks[xi]:
             return 0
         return -1 if (self.ranks[yi] - self.ranks[xi]) % 2 else 1
 

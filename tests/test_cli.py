@@ -770,6 +770,17 @@ class TestVerifyBounds:
         assert run("verify", "--suite", suite, "--eps", "++++----") == (0, "")
         assert ran == [(1, 1, 1, 1, -1, -1, -1, -1)]
 
+    @pytest.mark.parametrize("suite", ["mobius", "el"])
+    @pytest.mark.parametrize("eps", ["+++++----", "+++++-----"])
+    def test_library_refuses_signature_past_enumeration_cap(self, suite, eps, monkeypatch):
+        """``run_suite`` itself refuses a mobius or el signature longer than
+        ``network.DEFAULT_CAP`` at the call, before any lattice is built: the
+        order masks of +++++----- alone would take about 13.5 GB."""
+        monkeypatch.setattr(checks.poset, "signature_lattice",
+                            lambda eps: pytest.fail("lattice built"))
+        with pytest.raises(checks.BoundError, match=f"past the {suite} suite's limit 8"):
+            checks.run_suite(suite, eps=eps)
+
     def test_other_signature_suites_take_signature_without_final_sink(self):
         code, text = run("verify", "--suite", "lattice", "--eps", "++-+")
         assert code == 0

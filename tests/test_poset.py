@@ -60,6 +60,30 @@ def label_words(lat, x, y):
     return [tuple(lat.label_rank[e] for e in labels) for labels in maximal_chains(lat, x, y)]
 
 
+def lattice_laws_oracle(lat):
+    """The first pair (x, y) in row-major order over all n x n ordered
+    pairs where meet or join leaves the family, misses its universal
+    property, or fails an absorption law; None if there is none."""
+    n = len(lat.elements)
+    up, down = lat.up_masks, lat.down_masks
+    meet, join = lat.meet_index, lat.join_index
+    for x in range(n):
+        for y in range(n):
+            m, j = meet(x, y), join(x, y)
+            if (None in (m, j) or down[x] & down[y] != down[m] or up[x] & up[y] != up[j]
+                    or meet(x, j) != x or join(x, m) != x):
+                return (x, y)
+    return None
+
+
+def assert_lattice_laws_match_oracle(lat):
+    """``check_lattice`` gives the ordered scan's verdict and first failing pair."""
+    bad = lattice_laws_oracle(lat)
+    [result] = checks.check_lattice(lat)
+    assert (result.passed, result.counterexample) == (bad is None, bad and str(bad))
+    return bad
+
+
 def rises(word):
     return all(a < b for a, b in zip(word, word[1:]))
 
@@ -71,6 +95,14 @@ def chains_permute_interval(lat, x, y):
         len(set(labels)) == len(labels) and set(labels) == want
         for labels in maximal_chains(lat, x, y)
     )
+
+
+def assert_chain_counts_match_oracle(lat, pairs):
+    """Rising and decreasing chain counts equal the ``maximal_chains`` oracle's."""
+    for x, y in pairs:
+        words = label_words(lat, x, y)
+        assert lat.rising_chains(x, y) == sum(map(rises, words))
+        assert lat.decreasing_chain_count(x, y) == sum(rises(word[::-1]) for word in words)
 
 
 # Intervals [x, y] with x <= y in the lattice of each signature.
@@ -230,6 +262,40 @@ class TestMeetJoin:
         [result] = checks.check_lattice(broken)
         assert not result.passed
         assert result.counterexample == "(0, 0)"
+        assert assert_lattice_laws_match_oracle(broken) == (0, 0)
+
+    def test_lattice_laws_match_ordered_scan(self):
+        """The unordered pairs plus per-element absorption give the verdict
+        and first failing pair of the ordered n x n scan."""
+        signatures = checks.signatures_up_to(6)
+        assert len(signatures) == 31
+        for eps in signatures:
+            assert assert_lattice_laws_match_oracle(poset.signature_lattice(eps)) is None
+
+    def test_lattice_laws_match_ordered_scan_on_over_forcing_table(self, monkeypatch):
+        """Bits 0 and 1 of ++-- forcing the top bit break the join at (0, 6)."""
+        table = poset._forcing_table
+        monkeypatch.setattr(poset, "_forcing_table",
+                            lambda labels: table(labels)[:-1] + ((1 << 0, 1 << 1),))
+        lat = poset.signature_lattice(sig("++--"))
+        assert len(lat.elements) == 14
+        assert assert_lattice_laws_match_oracle(lat) == (0, 6)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_lattice_laws_match_ordered_scan_on_unclosed_mask(self, seed):
+        """One element's mask swapped for an edge set the forcing table does
+        not close, ``mask_index`` rebuilt from the masks: both scans fail at
+        the same pair."""
+        lat = build_lattice(sig("++-+--"))
+        rng = random.Random(seed)
+        full = (1 << len(lat.label_rank)) - 1
+        unclosed = [m for m in range(full) if lat._forced(m) & ~m]
+        i = rng.randrange(1, len(lat.elements) - 1)
+        masks = list(lat.edge_masks)
+        masks[i] = rng.choice(unclosed)
+        broken = dataclasses.replace(lat, edge_masks=tuple(masks),
+                                     mask_index={m: k for k, m in enumerate(masks)})
+        assert assert_lattice_laws_match_oracle(broken) is not None
 
     def test_index_is_range_checked(self, lat4):
         with pytest.raises(poset.LatticeError, match="bad element index 14"):
@@ -524,6 +590,26 @@ class TestChainsAndMobius:
             up_adj[z] = ((t, e),)
         broken = with_covers(lat, tuple(up_adj))
         assert broken.decreasing_chain_count(broken.bottom, t) == 2
+        assert_chain_counts_match_oracle(broken, [(broken.bottom, t)])
+
+    @pytest.mark.parametrize("ranks,rising,falling", [((0, 1, 3, 4), 2, 0),
+                                                      ((4, 3, 1, 0), 0, 2)])
+    def test_chain_counts_add_up_per_last_label(self, ranks, rising, falling):
+        """Two chains into t end with the same label, and one cover extends
+        both to u: the count at t's last label is 2, and u takes it whole."""
+        lat = build_lattice(sig("++-+--"))
+        labels = sorted(lat.label_rank, key=lat.label_rank.get)
+        first, second, into_t, into_u = (labels[r] for r in ranks)
+        a1, a2 = [i for i, r in enumerate(lat.ranks) if r == 1][:2]
+        t, u = lat.ranks.index(2), lat.ranks.index(3)
+        up_adj = [()] * len(lat.elements)
+        up_adj[lat.bottom] = ((a1, first), (a2, second))
+        up_adj[a1] = up_adj[a2] = ((t, into_t),)
+        up_adj[t] = ((u, into_u),)
+        broken = with_covers(lat, tuple(up_adj))
+        assert broken.rising_chains(broken.bottom, u) == rising
+        assert broken.decreasing_chain_count(broken.bottom, u) == falling
+        assert_chain_counts_match_oracle(broken, intervals(broken))
 
     @pytest.mark.parametrize("eps", ["++--", "+-+-", "++-+--"])
     def test_el_property_all_intervals(self, eps):
@@ -531,16 +617,14 @@ class TestChainsAndMobius:
         assert result.passed
         assert result.detail.endswith(f" on {INTERVALS[eps]} intervals")
 
-    @pytest.mark.parametrize("eps", ["++--", "+-+-", "++-+--", "+++---"])
+    @pytest.mark.parametrize("eps", [network.format_signature(eps)
+                                     for eps in checks.signatures_up_to(5)]
+                             + ["++-+--", "+++---"])
     def test_chain_pass_matches_chain_oracle(self, eps):
         lat = build_lattice(sig(eps))
+        assert_chain_counts_match_oracle(lat, intervals(lat))
         for x, y in intervals(lat):
-            words = label_words(lat, x, y)
-            assert lat.rising_chains(x, y) == sum(map(rises, words))
-            assert lat.decreasing_chain_count(x, y) == sum(
-                rises(word[::-1]) for word in words
-            )
-            assert lat.lex_least_labels(x, y) == min(words)
+            assert lat.lex_least_labels(x, y) == min(label_words(lat, x, y))
 
     def test_relabeled_cover_fails_rising_count(self, lat4):
         """The cover from the bottom to {(1,4)}, relabeled (2,3), gives
@@ -550,9 +634,13 @@ class TestChainsAndMobius:
         up_adj[lat4.bottom] = tuple(
             (v, (2, 3) if v == w else e) for v, e in up_adj[lat4.bottom]
         )
-        [result] = checks.check_el(with_covers(lat4, tuple(up_adj)))
+        broken = with_covers(lat4, tuple(up_adj))
+        [result] = checks.check_el(broken)
         assert not result.passed
         assert "rising-count" in result.counterexample
+        y = element(lat4, [(1, 3), (1, 4)])
+        assert broken.rising_chains(broken.bottom, y) == 2
+        assert_chain_counts_match_oracle(broken, intervals(broken))
 
 
 class TestBooleanCheck:
