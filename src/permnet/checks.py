@@ -228,19 +228,13 @@ def check_whitney(eps: network.Signature) -> list[CheckResult]:
 def check_mobius(lat: poset.NetworkLattice) -> list[CheckResult]:
     bad = None
     pairs = 0
-    for x in range(len(lat.elements)):
-        for y in poset._bits(lat.up_masks[x]):
-            pairs += 1
-            mu = lat.mobius_recursive(x, y)
-            if mu != lat.mobius_closed(x, y) or mu not in (-1, 0, 1):
-                bad = (x, y)
-                break
-            dec = lat.decreasing_chain_count(x, y)
-            sign = -1 if (lat.ranks[y] - lat.ranks[x]) % 2 else 1
-            if sign * mu != dec:
-                bad = (x, y)
-                break
-        if bad:
+    for x, y in lat.intervals():
+        pairs += 1
+        mu = lat.mobius_recursive(x, y)
+        sign = -1 if (lat.ranks[y] - lat.ranks[x]) % 2 else 1
+        if (mu != lat.mobius_closed(x, y) or mu not in (-1, 0, 1)
+                or sign * mu != lat.decreasing_chain_count(x, y)):
+            bad = (x, y)
             break
     return [
         CheckResult(
@@ -257,17 +251,14 @@ def check_el(lat: poset.NetworkLattice) -> list[CheckResult]:
     rises (its label word increases); the Snelling check is lattice-wide."""
     bad = None
     intervals = 0
-    for x in range(len(lat.elements)):
-        for y in poset._bits(lat.up_masks[x]):
-            intervals += 1
-            if lat.rising_chains(x, y) != 1:
-                bad = (x, y, "rising-count")
-                break
-            word = lat.lex_least_labels(x, y)
-            if any(s >= t for s, t in zip(word, word[1:])):
-                bad = (x, y, "lex-least")
-                break
-        if bad:
+    for x, y in lat.intervals():
+        intervals += 1
+        if lat.rising_chains(x, y) != 1:
+            bad = (x, y, "rising-count")
+            break
+        word = lat.lex_least_labels(x, y)
+        if any(s >= t for s, t in zip(word, word[1:])):
+            bad = (x, y, "lex-least")
             break
     if bad is None and not lat.snelling_check(lat.bottom, lat.top):
         bad = (lat.bottom, lat.top, "snelling")

@@ -76,9 +76,8 @@ def _forest_eps(args, net: network.Network, out) -> network.Signature:
         return _parse_eps(args.eps, True, out)
     sig = network.signature_of(net)
     if 0 in sig:
-        raise CliError(
-            "network has neutral points; pass --eps to fix the forest shape"
-        )
+        raise CliError("network has neutral points; pass --eps with a + or - at each "
+                       f"of its {net.n} points to fix the forest shape")
     return sig
 
 

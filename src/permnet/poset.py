@@ -4,13 +4,15 @@ Elements are ordered by edge-set inclusion and ranked by edge count.
 Edges are totally ordered by ``network.label_key`` (sink, then source
 descending); edge number r in that order is bit r - 1 of an element's
 int edge mask, and ``mask_index`` maps each mask back to its element.
-Covers are the masks one bit apart, labeled by their new edge; meet is
-``&``.  One forcing table per signature, from ``forced_edges`` on pairs
-of the fullest network's edges, holds per edge bit the masks ``into``
-and ``out`` that force it.  It serves the join (``|`` plus one forcing
-pass), the Mobius closed form (mu(x, y) is 0 unless x holds every edge
-the table forces in y, else (-1) to the rank difference) and the walk
-over int masks that lists a signature's networks for the direct
+Covers are the masks one bit apart, each ``(index, r)`` with r the label
+rank of the edge it adds: the lattice speaks ints, ``labels[r - 1]`` is
+the one way back to edges, and ``intervals()`` lists every y above x.
+Meet is ``&``.  One forcing table per signature, from ``forced_edges``
+on pairs of the fullest network's edges, holds per edge bit the masks
+``into`` and ``out`` that force it.  It serves the join (``|`` plus one
+forcing pass), the Mobius closed form (mu(x, y) is 0 unless x holds
+every edge the table forces in y, else (-1) to the rank difference) and
+the walk over int masks that lists a signature's networks for the direct
 Whitney count, ``signature_networks`` (so ``signature_lattice``) and
 ``write_hasse``, which finds covers by one-bit lookups on the masks;
 ``build_lattice`` scans n! words instead.  One forcing pass closes a
@@ -63,13 +65,14 @@ def _cache():
 class NetworkLattice:
     """All networks fitting a (zero-free) signature, with cover structure.
     Elements are sorted by rank: ascending index is rank order, and every
-    cover runs to a larger index."""
+    cover ``(w, r)`` in ``up_adj`` runs to a larger index w and adds the
+    edge ``labels[r - 1]``, whose label rank is r."""
 
     eps: Signature
     elements: tuple[Network, ...]
     ranks: tuple[int, ...]
-    up_adj: tuple[tuple[tuple[int, Edge], ...], ...]
-    label_rank: dict[Edge, int]
+    up_adj: tuple[tuple[tuple[int, int], ...], ...]
+    labels: tuple[Edge, ...]
     edge_masks: tuple[int, ...]
     mask_index: dict[int, int]
     up_masks: tuple[int, ...] = field(repr=False, default=())
@@ -92,7 +95,7 @@ class NetworkLattice:
 
     @property
     def top(self) -> int:
-        return self.mask_index[(1 << len(self.label_rank)) - 1]
+        return self.mask_index[(1 << len(self.labels)) - 1]
 
     # -- lattice operations --
 
@@ -124,6 +127,12 @@ class NetworkLattice:
 
     # -- edge labels and chains --
 
+    def intervals(self) -> Iterator[tuple[int, int]]:
+        """Every (x, y) with y at or above x, by x, then y ascending."""
+        for x, up in enumerate(self.up_masks):
+            for y in _bits(up):
+                yield x, y
+
     def _interval(self, x: int, y: int) -> tuple[int, int]:
         n = len(self.elements)
         if not (0 <= x < n and 0 <= y < n):
@@ -142,12 +151,12 @@ class NetworkLattice:
         last = self._row_last
         if last is not None and last[0] == xi:
             return last[1]
-        up_adj, label_rank, down_masks = self.up_adj, self.label_rank, self.down_masks
+        up_adj, down_masks = self.up_adj, self.down_masks
         mobius: dict[int, int] = {}
         valued: dict[int, int] = {}  # mask of the elements given each nonzero mu
         values = valued.items()  # a live view: it sees each new value
         rising: dict[int, dict[int, int]] = {xi: {0: 1}}
-        falling: dict[int, dict[int, int]] = {xi: {len(label_rank) + 1: 1}}
+        falling: dict[int, dict[int, int]] = {xi: {len(self.labels) + 1: 1}}
         lexmin: dict[int, tuple[int, ...]] = {xi: ()}
         for z in _bits(self.up_masks[xi]):
             mu = 1 if z == xi else 0
@@ -158,8 +167,7 @@ class NetworkLattice:
             if mu:
                 valued[mu] = valued.get(mu, 0) | 1 << z
             rz, fz, lz = rising[z].items(), falling[z].items(), lexmin[z]
-            for w, e in up_adj[z]:
-                r = label_rank[e]
+            for w, r in up_adj[z]:
                 # Graded, so every word into w has the same length and the
                 # least one extends the least word into some lower cover.
                 word = lz + (r,)
@@ -204,13 +212,13 @@ class NetworkLattice:
         tested once per lattice."""
         self._interval(x, y)
         if self._snelling is None:
-            masks, rank = self.edge_masks, self.label_rank
-            covers_ok = all(masks[z] | 1 << rank[e] - 1 == masks[w] != masks[z]
-                            for z, up in enumerate(self.up_adj) for w, e in up)
+            masks, width = self.edge_masks, len(self.labels)
+            covers_ok = all(masks[z] | 1 << r - 1 == masks[w] != masks[z]
+                            for z, up in enumerate(self.up_adj) for w, r in up)
             # down(y) must be exactly the elements lacking every edge outside y.
-            full = (1 << len(rank)) - 1
+            full = (1 << width) - 1
             lacking = [sum(1 << i for i, m in enumerate(masks) if not m >> b & 1)
-                       for b in range(len(rank))]
+                       for b in range(width)]
             self._snelling = covers_ok and self.down_masks == tuple(
                 reduce(and_, [lacking[b] for b in _bits(m ^ full)], (1 << len(masks)) - 1)
                 for m in masks
@@ -260,10 +268,10 @@ def _lattice(eps: Sequence[int], networks: Callable[[Signature], list]) -> Netwo
     eps = strip_neutral(check_signature(eps))
     elements = tuple(networks(eps))
     ranks = tuple(net.rank for net in elements)
-    labels = sorted(max_network(eps).edges, key=label_key)
-    label_rank = {e: r for r, e in enumerate(labels, start=1)}
-    edge_masks = tuple(sum(1 << label_rank[e] - 1 for e in net.edges) for net in elements)
-    mask_index, up = _covers(edge_masks, labels)
+    labels = tuple(sorted(max_network(eps).edges, key=label_key))
+    bit = {e: b for b, e in enumerate(labels)}
+    edge_masks = tuple(sum(1 << bit[e] for e in net.edges) for net in elements)
+    mask_index, up = _covers(edge_masks)
     if (1 << len(labels)) - 1 not in mask_index:
         raise LatticeError("maximal network missing from enumeration")
     up_adj = tuple(map(tuple, up))
@@ -273,7 +281,7 @@ def _lattice(eps: Sequence[int], networks: Callable[[Signature], list]) -> Netwo
         elements=elements,
         ranks=ranks,
         up_adj=up_adj,
-        label_rank=label_rank,
+        labels=labels,
         edge_masks=edge_masks,
         mask_index=mask_index,
         up_masks=up_masks,
@@ -282,16 +290,17 @@ def _lattice(eps: Sequence[int], networks: Callable[[Signature], list]) -> Netwo
     )
 
 
-def _covers(masks: Sequence[int], labels: Sequence) -> tuple[dict[int, int], list[list]]:
-    """Each mask's index, and per index its upper covers (index, labels[b]),
-    b the bit the cover adds; masks sorted by rank give sorted lists."""
+def _covers(masks: Sequence[int]) -> tuple[dict[int, int], list[list[tuple[int, int]]]]:
+    """Each mask's index, and per index its upper covers (index, b + 1),
+    b the bit the cover adds, so b + 1 is its edge's label rank; masks
+    sorted by rank give sorted lists."""
     mask_index = {m: i for i, m in enumerate(masks)}
-    up: list[list] = [[] for _ in masks]
+    up: list[list[tuple[int, int]]] = [[] for _ in masks]
     for yi, m in enumerate(masks):
         for b in _bits(m):
             xi = mask_index.get(m ^ 1 << b)
             if xi is not None:
-                up[xi].append((yi, labels[b]))
+                up[xi].append((yi, b + 1))
     return mask_index, up
 
 
@@ -309,17 +318,17 @@ def _forcing_table(labels: Sequence[Edge]) -> tuple[tuple[int, int], ...]:
 
 
 def _order_masks(
-    up_adj: Sequence[Sequence[tuple[int, Edge]]],
+    up_adj: Sequence[Sequence[tuple[int, int]]],
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Bitsets of the elements above and below each element, from the
     covers, which run to larger indices."""
     down_masks = [1 << i for i in range(len(up_adj))]
     for i in range(len(up_adj)):
-        for y, _e in up_adj[i]:
+        for y, _r in up_adj[i]:
             down_masks[y] |= down_masks[i]
     up_masks = [1 << i for i in range(len(up_adj))]
     for i in reversed(range(len(up_adj))):
-        for y, _e in up_adj[i]:
+        for y, _r in up_adj[i]:
             up_masks[i] |= up_masks[y]
     return tuple(up_masks), tuple(down_masks)
 
@@ -403,8 +412,8 @@ def write_hasse(eps: Sequence[int], fmt: str, out) -> None:
         body = ",".join(f"({a},{b})" for a, b in edges)
         out.write(f'  n{i} [label="{body or "empty"}"];\n' if dot
                   else f"{i} rank={rank} n={len(eps)}; edges={body}\n")
-    if dot:  # the top, last in the walk, holds every label
-        for i, up in enumerate(_covers([m for *_, m in walk], range(1, walk[-1][0] + 1))[1]):
+    if dot:
+        for i, up in enumerate(_covers([m for *_, m in walk])[1]):
             for w, r in up:
                 out.write(f'  n{i} -> n{w} [label="{r}"];\n')
         out.write("}\n")

@@ -7,11 +7,11 @@ import random
 import subprocess
 import sys
 import time
-from itertools import permutations, product
+from itertools import chain, permutations, product
 
 import pytest
 
-from permnet import checks, cli, diagram, perm
+from permnet import checks, cli, diagram, forest, perm
 
 
 def run(*argv):
@@ -138,6 +138,19 @@ class TestConvert:
         )
         assert run("convert", "--from", "perm", "--to", "forest", "1,3,2") == (3, "")
         assert "network has neutral points" in capsys.readouterr().err
+
+    def test_neutral_point_advice_leads_to_a_forest(self, capsys):
+        """The advice names what ``--eps`` needs: the network's own signature
+        +0- is stripped to +- and does not fit, and ++- gives the forest."""
+        argv = ("convert", "--from", "perm", "--to", "forest")
+        assert run(*argv, "1,3,2") == (3, "")
+        assert capsys.readouterr().err == (
+            "error: network has neutral points; pass --eps with a + or - at each "
+            "of its 3 points to fix the forest shape\n")
+        assert run(*argv, "--eps", "+0-", "1,3,2") == (3, "")
+        assert "network does not fit signature +-" in capsys.readouterr().err
+        assert run(*argv, "--eps", "++-", "1,3,2") == (
+            0, '{"epsilon": "+ + -", "pointed": [[1, 2]]}\n')
 
     @pytest.mark.parametrize("mark", [[1, 1.7], [1, "1"], [True, 1], "11"])
     def test_forest_coordinate_that_is_not_an_int_exits_invalid(self, mark, capsys):
@@ -309,6 +322,68 @@ class TestVerify:
 
         self.break_forcing_table(monkeypatch, force_top)
         assert run("verify", "--suite", suite, "--eps", "++--") == (1, line + "\n")
+        assert capsys.readouterr().err == ""
+
+    @staticmethod
+    def wrong_once(monkeypatch, owner, name, hit, wrong):
+        """Patch ``owner.name`` to return ``wrong(result)`` on the calls whose
+        arguments satisfy ``hit``, and its own result on every other call."""
+        original = getattr(owner, name)
+
+        def patched(*args, **kwargs):
+            result = original(*args, **kwargs)
+            return wrong(result) if hit(*args, **kwargs) else result
+
+        monkeypatch.setattr(owner, name, patched)
+
+    @pytest.mark.parametrize("argv,owner,name,hit,wrong,text", [
+        (("--suite", "polyomino", "--n", "3"), "diagram", "peel_edges",
+         lambda poly: poly == diagram.rothe_diagram((3, 1, 2)), lambda edges: edges | {(1, 9)},
+         "FAIL polyomino-edges: peeled edges match the inverse word's network "
+         "on 4 diagrams [3,1,2]\n"),
+        (("--suite", "rothe", "--n", "3"), "diagram", "rothe_edges",
+         lambda w: w == (2, 3, 1), lambda edges: edges | {(1, 9)},
+         "FAIL rothe-edges: word-chain edges match the inverse word's network "
+         "on 4 words [2,3,1]\n"),
+        (("--suite", "forest", "--eps", "++--"), "forest", "strand_permutation",
+         lambda f, resolve_crossings=True: resolve_crossings and f.pointed == {(1, 2), (2, 1)},
+         lambda w: w[::-1], "strands at [(1, 2), (2, 1)]"),
+        (("--suite", "forest", "--eps", "++--"), "forest", "leaf_deletion_permutation",
+         lambda f: f.pointed == {(2, 2)}, lambda w: w[::-1], "leaf-vs-strands at [(2, 2)]"),
+        (("--suite", "forest", "--eps", "++--"), "perm", "swap_length",
+         lambda base, w: w == forest.leaf_deletion_permutation(
+             forest.make_forest((1, 1, -1, -1), [(1, 1), (2, 2)])),
+         lambda length: length + 1, "swap-length at [(1, 1), (2, 2)]"),
+        (("--suite", "mobius", "--eps", "++--"), "NetworkLattice", "decreasing_chain_count",
+         lambda lat, x, y: (x, y) == (1, 13), lambda count: count + 1,
+         "FAIL mobius: closed form, recursion and decreasing-chain counts agree "
+         "on 20 intervals [(1, 13)]\n"),
+        (("--suite", "el", "--eps", "++--"), "NetworkLattice", "lex_least_labels",
+         lambda lat, x, y: (x, y) == (0, 13), lambda word: word[::-1],
+         "FAIL el-labeling: unique lex-first rising chain and label permutations "
+         "on 14 intervals [(0, 13, 'lex-least')]\n"),
+        (("--suite", "el", "--eps", "++--"), "NetworkLattice", "snelling_check",
+         lambda lat, x, y: True, lambda ok: False,
+         "FAIL el-labeling: unique lex-first rising chain and label permutations "
+         "on 66 intervals [(0, 13, 'snelling')]\n"),
+        (("--suite", "mobius", "--eps", "++--"), "NetworkLattice", "intervals",
+         lambda lat: True, lambda pairs: chain(pairs, [(0, 14)]),
+         "FAIL mobius: raised LatticeError: bad element index 14 [++--]\n"),
+    ], ids=["polyomino", "rothe", "strands", "leaf-vs-strands", "swap-length",
+            "decreasing-chains", "lex-least", "snelling", "bad-index"])
+    def test_each_failure_branch_prints_its_counterexample(self, monkeypatch, capsys, argv,
+                                                           owner, name, hit, wrong, text):
+        """One library call gives a wrong answer on one input: the check
+        reports that input, and ``verify`` exits 1 with nothing on stderr.
+        A forest failure follows the bijection's PASS line."""
+        owner = getattr(checks.poset, owner) if owner == "NetworkLattice" \
+            else getattr(checks, owner)
+        self.wrong_once(monkeypatch, owner, name, hit, wrong)
+        if argv[1] == "forest":
+            text = ("PASS forest-network-bijection: 14 forests <-> 14 networks\n"
+                    "FAIL forest-permutations: strand, leaf-deletion and swap-length "
+                    f"identities on 14 forests [{text}]\n")
+        assert run("verify", *argv) == (1, text)
         assert capsys.readouterr().err == ""
 
     def test_lattice_that_cannot_be_built_is_a_failure(self, monkeypatch, capsys):

@@ -241,6 +241,43 @@ class TestPeeling:
         assert tops == sorted(tops, reverse=True)
         assert len(set(tops)) == len(tops)
 
+    def test_peel_carries_kept_labels_over(self):
+        """Observed, not proved, on every accepted diagram drawn from words of
+        degree <= 6: after each strip that leaves cells, each label of a kept
+        cell sits on that cell after the row shift, and each label the reduced
+        diagram gains was held by a cell the strip deleted."""
+        steps = gained = 0
+        for n in range(2, 7):
+            for w in permutations(range(1, n + 1)):
+                current = diagram.rothe_diagram(w)
+                try:
+                    diagram.polyomino_permutation(current)
+                except PolyominoError:
+                    continue
+                while current.cells:
+                    lp = diagram.label_polyomino(current)
+                    top_row = diagram.boundary_ribbon(lp)[0][0]
+                    _edges, current = diagram.peel_step(lp)
+                    if not current.cells:
+                        break
+                    steps += 1
+                    after = diagram.label_polyomino(current)
+                    kept = {}  # cell after the row shift -> the same cell before it
+                    for r, c in lp.poly.cells:
+                        moved = (r, c + 1) if r >= top_row else (r, c)
+                        if moved in current.cells:
+                            kept[moved] = (r, c)
+                    deleted = lp.poly.cells - set(kept.values())
+                    held = {old[d] for old in (lp.east, lp.south) for d in deleted if d in old}
+                    for old, new in ((lp.east, after.east), (lp.south, after.south)):
+                        carried = {cell: was for cell, was in kept.items() if was in old}
+                        assert {cell: new.get(cell) for cell in carried} == \
+                            {cell: old[was] for cell, was in carried.items()}
+                        gains = [v for cell, v in new.items() if old.get(kept[cell]) != v]
+                        assert set(gains) <= held
+                        gained += len(gains)
+        assert (steps, gained) == (876, 1696)
+
     def test_polyomino_edges_worked_example(self, big_poly):
         assert diagram.polyomino_edges(big_poly) == BIG_EDGES
 

@@ -18,9 +18,14 @@ def sig(text):
     return parse_signature(text)
 
 
+def rank(lat, e):
+    """The label rank of edge ``e``: ``lat.labels[rank - 1]`` is ``e``."""
+    return lat.labels.index(e) + 1
+
+
 def element(lat, edges):
     """The index of the element with edge set ``edges``, through ``mask_index``."""
-    return lat.mask_index[sum(1 << lat.label_rank[e] - 1 for e in edges)]
+    return lat.mask_index[sum(1 << rank(lat, e) - 1 for e in edges)]
 
 
 # -- brute-force oracles on frozensets and explicit chains -------------------
@@ -40,7 +45,7 @@ def completion_closure(edges):
 
 def maximal_chains(lat, x, y):
     """All saturated chains from x to y, each as its tuple of cover labels
-    (the edge each step adds)."""
+    (the label rank of the edge each step adds)."""
     if not lat.down_masks[y] >> x & 1:
         return
     mask = lat.up_masks[x] & lat.down_masks[y]
@@ -50,14 +55,9 @@ def maximal_chains(lat, x, y):
         if z == y:
             yield labels
             continue
-        for w, e in lat.up_adj[z]:
+        for w, r in lat.up_adj[z]:
             if mask >> w & 1:
-                stack.append((w, labels + (e,)))
-
-
-def label_words(lat, x, y):
-    """The label rank words of all maximal chains of [x, y]."""
-    return [tuple(lat.label_rank[e] for e in labels) for labels in maximal_chains(lat, x, y)]
+                stack.append((w, labels + (r,)))
 
 
 def lattice_laws_oracle(lat):
@@ -92,7 +92,7 @@ def chains_permute_interval(lat, x, y):
     """Every maximal chain of [x, y] adds each edge of y - x exactly once."""
     want = lat.elements[y].edges - lat.elements[x].edges
     return all(
-        len(set(labels)) == len(labels) and set(labels) == want
+        len(set(labels)) == len(labels) and {lat.labels[r - 1] for r in labels} == want
         for labels in maximal_chains(lat, x, y)
     )
 
@@ -100,7 +100,7 @@ def chains_permute_interval(lat, x, y):
 def assert_chain_counts_match_oracle(lat, pairs):
     """Rising and decreasing chain counts equal the ``maximal_chains`` oracle's."""
     for x, y in pairs:
-        words = label_words(lat, x, y)
+        words = list(maximal_chains(lat, x, y))
         assert lat.rising_chains(x, y) == sum(map(rises, words))
         assert lat.decreasing_chain_count(x, y) == sum(rises(word[::-1]) for word in words)
 
@@ -110,7 +110,9 @@ INTERVALS = {"++--": 66, "+-+-": 27, "++-+--": 3009, "+++---": 5976}
 
 
 def intervals(lat):
-    return [(x, y) for x in range(len(lat.elements)) for y in poset._bits(lat.up_masks[x])]
+    """Every (x, y) with x below or at y, by x, then y, from the down masks."""
+    n = len(lat.elements)
+    return [(x, y) for x in range(n) for y in range(n) if lat.down_masks[y] >> x & 1]
 
 
 def interval(lat, x, y):
@@ -168,8 +170,8 @@ class TestConstruction:
 
     def test_covers_differ_by_one_edge(self, lat4):
         for i in range(len(lat4.elements)):
-            for j, e in lat4.up_adj[i]:
-                assert lat4.elements[j].edges - lat4.elements[i].edges == {e}
+            for j, r in lat4.up_adj[i]:
+                assert lat4.elements[j].edges - lat4.elements[i].edges == {lat4.labels[r - 1]}
 
     def test_maximal_chains_have_rank_length(self, lat4):
         for labels in maximal_chains(lat4, lat4.bottom, lat4.top):
@@ -288,7 +290,7 @@ class TestMeetJoin:
         the same pair."""
         lat = build_lattice(sig("++-+--"))
         rng = random.Random(seed)
-        full = (1 << len(lat.label_rank)) - 1
+        full = (1 << len(lat.labels)) - 1
         unclosed = [m for m in range(full) if lat._forced(m) & ~m]
         i = rng.randrange(1, len(lat.elements) - 1)
         masks = list(lat.edge_masks)
@@ -317,9 +319,8 @@ class TestForcingTable:
         assert len(signatures) == 63
         for text in signatures:
             lat = build_lattice(sig(text))
-            labels = sorted(lat.label_rank, key=lat.label_rank.get)
             for m, net in zip(lat.edge_masks, lat.elements):
-                assert lat._forced(m) == forced_mask(labels, net.edges)
+                assert lat._forced(m) == forced_mask(lat.labels, net.edges)
 
     def test_forced_mask_matches_primitive_on_length_ten_sample(self):
         eps = sig("+++++-----")
@@ -443,13 +444,13 @@ class TestEdgeLabels:
     def test_el_label_is_new_edge(self, lat4):
         y = element(lat4, [(2, 3)])
         labels = dict(lat4.up_adj[lat4.bottom])
-        assert labels[y] == (2, 3)
+        assert lat4.labels[labels[y] - 1] == (2, 3)
         assert lat4.top not in labels
 
     def test_chain_labels_cover_interval_once(self, lat4):
         want = lat4.elements[lat4.top].edges
         for labels in maximal_chains(lat4, lat4.bottom, lat4.top):
-            assert sorted(labels) == sorted(want)
+            assert sorted(lat4.labels[r - 1] for r in labels) == sorted(want)
 
 
 class TestCrossingInterval:
@@ -465,15 +466,15 @@ class TestCrossingInterval:
     def test_unique_rising_chain(self, lat4, top):
         assert lat4.rising_chains(lat4.bottom, top) == 1
         rising = [
-            labels for labels in maximal_chains(lat4, lat4.bottom, top)
-            if rises([lat4.label_rank[e] for e in labels])
+            tuple(lat4.labels[r - 1] for r in labels)
+            for labels in maximal_chains(lat4, lat4.bottom, top) if rises(labels)
         ]
         assert rising == [((2, 3), (1, 3), (2, 4))]
 
     def test_rising_chain_is_lex_least(self, lat4, top):
         least = lat4.lex_least_labels(lat4.bottom, top)
         assert rises(least)
-        assert least == min(label_words(lat4, lat4.bottom, top))
+        assert least == min(maximal_chains(lat4, lat4.bottom, top))
 
     def test_no_decreasing_chain(self, lat4, top):
         assert lat4.decreasing_chain_count(lat4.bottom, top) == 0
@@ -523,24 +524,30 @@ class TestSnelling:
         up_adj[z] = up_adj[z][1:]
         broken = with_covers(lat6, tuple(up_adj))
         assert not all(broken.snelling_check(x, y) for x, y in intervals(broken))
-        # Covers are built as z + {e} and labeled e, so the chain statement
+        # Covers are built as z + {e} and labeled by e's rank, so the chain statement
         # alone cannot see a missing cover.
         assert all(chains_permute_interval(broken, x, y) for x, y in intervals(broken))
 
     def test_two_edge_cover_fails(self, lat6):
         w = lat6.ranks.index(2)
-        e = min(lat6.elements[w].edges)
+        r = rank(lat6, min(lat6.elements[w].edges))
         up_adj = list(lat6.up_adj)
-        up_adj[lat6.bottom] = tuple(sorted(up_adj[lat6.bottom] + ((w, e),)))
+        up_adj[lat6.bottom] = tuple(sorted(up_adj[lat6.bottom] + ((w, r),)))
         broken = with_covers(lat6, tuple(up_adj))
         assert not broken.snelling_check(broken.bottom, w)
         assert not all(broken.snelling_check(x, y) for x, y in intervals(broken))
 
 
 class TestChainsAndMobius:
+    @pytest.mark.parametrize("eps", list(INTERVALS))
+    def test_intervals_walk_every_pair_in_order(self, eps):
+        lat = build_lattice(sig(eps))
+        assert list(lat.intervals()) == intervals(lat)
+        assert len(intervals(lat)) == INTERVALS[eps]
+
     def test_single_cover_is_decreasing_chain(self, lat4):
         for x in range(len(lat4.elements)):
-            for y, _e in lat4.up_adj[x]:
+            for y, _r in lat4.up_adj[x]:
                 assert lat4.decreasing_chain_count(x, y) == 1
 
     def test_mobius_rows_from_alternating_bottoms(self, lat4):
@@ -578,16 +585,16 @@ class TestChainsAndMobius:
         mu(bottom, t) = -(1 - 3) = 2 and two decreasing chains."""
         lat = build_lattice(sig("++-+--"))
         t = lat.ranks.index(2)
-        a, b = sorted(lat.elements[t].edges)
-        least = min(lat.label_rank, key=lat.label_rank.get)
-        c = next(e for e in sorted(lat.label_rank) if e not in (a, b, least))
-        atoms = [element(lat, [e]) for e in (a, b, c)]
+        a, b = (rank(lat, e) for e in sorted(lat.elements[t].edges))
+        least = 1
+        c = next(rank(lat, e) for e in sorted(lat.labels) if rank(lat, e) not in (a, b, least))
+        atoms = [element(lat, [lat.labels[r - 1]]) for r in (a, b, c)]
         up_adj = [()] * len(lat.elements)
         up_adj[lat.bottom] = tuple(sorted(zip(atoms, (a, b, c))))
         # Into t: b after a and a after b (one of the two falls), and the
         # least label after c (falls).
-        for z, e in zip(atoms, (b, a, least)):
-            up_adj[z] = ((t, e),)
+        for z, r in zip(atoms, (b, a, least)):
+            up_adj[z] = ((t, r),)
         broken = with_covers(lat, tuple(up_adj))
         assert broken.decreasing_chain_count(broken.bottom, t) == 2
         assert_chain_counts_match_oracle(broken, [(broken.bottom, t)])
@@ -598,8 +605,7 @@ class TestChainsAndMobius:
         """Two chains into t end with the same label, and one cover extends
         both to u: the count at t's last label is 2, and u takes it whole."""
         lat = build_lattice(sig("++-+--"))
-        labels = sorted(lat.label_rank, key=lat.label_rank.get)
-        first, second, into_t, into_u = (labels[r] for r in ranks)
+        first, second, into_t, into_u = (r + 1 for r in ranks)
         a1, a2 = [i for i, r in enumerate(lat.ranks) if r == 1][:2]
         t, u = lat.ranks.index(2), lat.ranks.index(3)
         up_adj = [()] * len(lat.elements)
@@ -624,7 +630,7 @@ class TestChainsAndMobius:
         lat = build_lattice(sig(eps))
         assert_chain_counts_match_oracle(lat, intervals(lat))
         for x, y in intervals(lat):
-            assert lat.lex_least_labels(x, y) == min(label_words(lat, x, y))
+            assert lat.lex_least_labels(x, y) == min(maximal_chains(lat, x, y))
 
     def test_relabeled_cover_fails_rising_count(self, lat4):
         """The cover from the bottom to {(1,4)}, relabeled (2,3), gives
@@ -632,7 +638,7 @@ class TestChainsAndMobius:
         w = element(lat4, [(1, 4)])
         up_adj = list(lat4.up_adj)
         up_adj[lat4.bottom] = tuple(
-            (v, (2, 3) if v == w else e) for v, e in up_adj[lat4.bottom]
+            (v, rank(lat4, (2, 3)) if v == w else r) for v, r in up_adj[lat4.bottom]
         )
         broken = with_covers(lat4, tuple(up_adj))
         [result] = checks.check_el(broken)
@@ -661,8 +667,8 @@ def hasse_oracle(lat, fmt):
         body = ",".join(f"({a},{b})" for a, b in network.sorted_edges(net)) or "empty"
         lines.append(f'  n{i} [label="{body}"];')
     for i, up in enumerate(lat.up_adj):  # sorted by (i, w) already
-        for w, e in up:
-            lines.append(f'  n{i} -> n{w} [label="{lat.label_rank[e]}"];')
+        for w, r in up:
+            lines.append(f'  n{i} -> n{w} [label="{r}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
 
